@@ -159,7 +159,11 @@ def central_atom(k: int, n: int) -> float:
         raise InvalidParametersError("need k >= 1 and n >= 1")
     if k % n == 0:
         return float(Fraction(factorial(k), factorial(k // n) ** n * n**k))
-    return exp(lgamma(k + 1) - n * lgamma(k / n + 1) - k * log(n))
+    return exp(_log_central_atom(k, n))
+
+
+def _log_central_atom(k: int, n: int) -> float:
+    return lgamma(k + 1) - n * lgamma(k / n + 1) - k * log(n)
 
 
 def small_n_exact(k: int, n: int, convention: str = "shifted", asymptotic: bool = False):
@@ -211,23 +215,19 @@ def _lattice_ball_raw(k: int, n: int) -> float:
     if k < 2:
         raise InvalidParametersError(f"need k >= 2, got {k}")
     rank = n - totient(n)
-    log_atom = lgamma(k + 1) - n * lgamma(k / n + 1) - k * log(n)
+    log_atom = _log_central_atom(k, n)
     log_ball = rank * log(2.1 * sqrt(k) * log(k)) + 0.5 * rank * log(pi) - lgamma(0.5 * rank + 1)
     v = log_atom + log_ball
     return exp(v) if v < 700 else float("inf")
 
 
-def chernoff_tail_bound(k: int, n_max: int | None = None) -> float:
+def chernoff_tail_bound(k: int) -> float:
     """Aggregate 2 k^2 exp(-(log k)^2 / 3) for the far-from-center event.
 
-    The k^2 factor already covers every modulus in the sweep range, so the
-    value does not depend on n_max; the argument is accepted for symmetry
-    with the range summations.
+    The k^2 factor already covers every modulus in the sweep range.
     """
     if k < 3:
         raise InvalidParametersError(f"need k >= 3, got {k}")
-    if n_max is not None and n_max < 3:
-        raise InvalidParametersError(f"n_max must be >= 3 when given, got {n_max}")
     return 2.0 * k * k * exp(-log(k) ** 2 / 3.0)
 
 
@@ -243,16 +243,19 @@ def midrange_bound(k: int, n: int) -> tuple[float, float]:
         raise InvalidParametersError("need k >= 1 and n >= 1")
     phi = totient(n)
     k_tail = exp(-k * phi / (12.0 * n))
+    return k_tail, _midrange_atom(k, n, phi)
+
+
+def _midrange_atom(k: int, n: int, phi: int) -> float:
+    """Heaviest-atom bound of midrange_bound, given phi = phi(n)."""
+    # Gaussian form above m = phi, log-Gamma form below, the larger at the tie
     m = k * phi / (2.0 * n)
-    big = 0.5 * log(m) - (phi - 1) * 0.5 * log(2.0 * pi) if m > 0 else float("-inf")
-    small = lgamma(m + 1.0) - m * log(phi) if phi > 1 else 0.0
-    if m > phi:
-        log_atom = big
-    elif m < phi:
-        log_atom = small
-    else:
-        log_atom = max(big, small)
-    return k_tail, exp(log_atom) if log_atom < 700 else float("inf")
+    if m >= phi:
+        log_atom = 0.5 * log(m) - (phi - 1) * 0.5 * log(2.0 * pi)
+    if m <= phi:
+        small = lgamma(m + 1.0) - m * log(phi) if phi > 1 else 0.0
+        log_atom = small if m < phi else max(log_atom, small)
+    return exp(log_atom) if log_atom < 700 else float("inf")
 
 
 def large_n_bound(k: int, n: int, kernel: int) -> tuple[float, float]:
@@ -301,11 +304,9 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
     def add(label, lo, hi, raw, tag):
         rows.append(BoundRow(label, lo, hi, min(1.0, raw), raw, tag))
 
-    add("n=2 balanced atom", 2, 2, sqrt(2.0 / (pi * k)), "small-n-exact")
-    add("n=3 balanced atom", 3, 3, 1.0 / k, "small-n-exact")
-    add("n=4 order", 4, 4, lnk**2 / sqrt(k), "small-n-exact")
-    add("n=5 balanced atom", 5, 5, 1.0 / (k * k), "small-n-exact")
-    add("n=6 order", 6, 6, lnk**4 / sqrt(k), "small-n-exact")
+    for n, label in ((2, "balanced atom"), (3, "balanced atom"), (4, "order"),
+                     (5, "balanced atom"), (6, "order")):
+        add(f"n={n} {label}", n, n, small_n_exact(k, n, asymptotic=True), "small-n-exact")
 
     eq3_raw = sum(lattice_ball_bound(k, n) for n in range(7, b1 + 1))
     add("ball count, small moduli", 7, b1, eq3_raw, "eq3-lattice")
@@ -315,13 +316,7 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
         phi = totient_sieve(b2)
         mid_raw = exp(-k / (24.0 * lnk))
         for n in range(b1 + 1, b2 + 1):
-            phin = phi[n]
-            m = k * phin / (2.0 * n)
-            if m > phin:
-                log_atom = 0.5 * log(m) - (phin - 1) * 0.5 * log(2.0 * pi)
-            else:
-                log_atom = lgamma(m + 1.0) - m * log(phin) if phin > 1 else 0.0
-            mid_raw += exp(log_atom) if log_atom < 700 else float("inf")
+            mid_raw += _midrange_atom(k, n, phi[n])
     else:
         mid_raw = 0.0
     add("mid-range moduli", b1 + 1, b2, mid_raw, "midrange-K")

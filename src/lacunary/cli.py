@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .bounds import admissible_kernels, breakdown_to_csv, total_bound
 from .cyclotomic import find_cyclotomic_factors
@@ -27,16 +26,6 @@ from .lattice import basis_to_json, build_basis
 from .sparsepoly import SparsePoly, read_poly_file
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    format: str = "csv"
-    output: str | None = None
-    workers: int = 1
-
-
 def _default_workers() -> int:
     return os.cpu_count() or 1
 
@@ -45,79 +34,60 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="lacunary", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def command(name, summary, formats=False, seeded=False):
+        """A subcommand with --output, plus --format and --seed/--workers where used."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=_default_workers())
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--workers", type=int, default=_default_workers())
+        return p
 
-    p = sub.add_parser("test", help="detect factors for each polynomial in a file")
+    p = command("test", "detect factors for each polynomial in a file")
     p.add_argument("file", nargs="?", default=None, help="polynomial file (default stdin)")
     p.add_argument("--N", type=int, default=None, help="degree cap override")
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
-    common(p)
 
-    p = sub.add_parser("factors", help="detect factors for one polynomial")
+    p = command("factors", "detect factors for one polynomial")
     p.add_argument("exponents", type=int, nargs="+")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
-    common(p)
 
-    p = sub.add_parser("basis", help="relation-lattice basis for a modulus")
+    p = command("basis", "relation-lattice basis for a modulus")
     p.add_argument("--n", type=int, required=True)
-    common(p)
 
-    p = sub.add_parser("candidates", help="admissible squarefree kernels for k terms")
+    p = command("candidates", "admissible squarefree kernels for k terms", formats=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
 
-    p = sub.add_parser("bounds", help="per-range bound table for k terms")
+    p = command("bounds", "per-range bound table for k terms", formats=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=float, default=None, help="kernel-size exponent constant")
-    common(p)
 
-    p = sub.add_parser("estimate", help="Monte Carlo estimate of a divisor event")
+    p = command("estimate", "Monte Carlo estimate of a divisor event", formats=True, seeded=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="specific modulus (default: any factor)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
-    common(p)
 
-    p = sub.add_parser("decay", help="any-factor estimates across a k list")
+    p = command("decay", "any-factor estimates across a k list", formats=True, seeded=True)
     p.add_argument("--k-list", required=True, dest="k_list", help="comma-separated k values")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="fs-pruned")
-    common(p)
 
-    p = sub.add_parser("enumerate", help="exhaustive enumeration of an event")
+    p = command("enumerate", "exhaustive enumeration of an event", formats=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
-    common(p)
 
     return top
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "seed", "format", "output", "workers")
-    }
-    return RunConfig(
-        command=args.command,
-        params=params,
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "csv"),
-        output=getattr(args, "output", None),
-        workers=getattr(args, "workers", 1),
-    )
 
 
 def _detection_record(poly: SparsePoly, mode: str, cap: int | None) -> dict:
@@ -130,43 +100,41 @@ def _detection_record(poly: SparsePoly, mode: str, cap: int | None) -> dict:
     }
 
 
-def _run_test(cfg: RunConfig, out) -> None:
-    p = cfg.params
-    if p.get("file"):
-        with open(p["file"], "r", encoding="utf-8") as fh:
-            polys = list(read_poly_file(fh, N=p.get("N")))
+def _run_test(args, out) -> None:
+    if args.file:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            polys = list(read_poly_file(fh, N=args.N))
     else:
-        polys = list(read_poly_file(sys.stdin, N=p.get("N")))
+        polys = list(read_poly_file(sys.stdin, N=args.N))
     for _, poly in polys:
-        record = _detection_record(poly, p["mode"], p.get("cap_override"))
+        record = _detection_record(poly, args.mode, args.cap_override)
         out.write(json.dumps(record) + "\n")
 
 
-def _run_factors(cfg: RunConfig, out) -> None:
-    p = cfg.params
-    exps = tuple(p["exponents"])
-    cap = p.get("N") if p.get("N") is not None else (exps[-1] if exps else 1)
+def _run_factors(args, out) -> None:
+    exps = tuple(args.exponents)
+    cap = args.N if args.N is not None else (exps[-1] if exps else 1)
     poly = SparsePoly(exps, cap)
-    record = _detection_record(poly, p["mode"], p.get("cap_override"))
+    record = _detection_record(poly, args.mode, args.cap_override)
     out.write(json.dumps(record) + "\n")
 
 
-def _run_basis(cfg: RunConfig, out) -> None:
-    record = basis_to_json(build_basis(cfg.params["n"]))
+def _run_basis(args, out) -> None:
+    record = basis_to_json(build_basis(args.n))
     out.write(json.dumps(record) + "\n")
 
 
-def _run_candidates(cfg: RunConfig, out) -> None:
-    cs = admissible_kernels(cfg.params["k"])
-    if cfg.format == "json":
+def _run_candidates(args, out) -> None:
+    cs = admissible_kernels(args.k)
+    if args.format == "json":
         out.write(json.dumps({"k": cs.k, "members": list(cs.members)}) + "\n")
     else:
         out.write(",".join(str(m) for m in cs.members) + "\n")
 
 
-def _run_bounds(cfg: RunConfig, out) -> None:
-    bb = total_bound(cfg.params["k"], c=cfg.params.get("c"))
-    if cfg.format == "json":
+def _run_bounds(args, out) -> None:
+    bb = total_bound(args.k, c=args.c)
+    if args.format == "json":
         rows = [
             {
                 "label": r.label,
@@ -183,42 +151,41 @@ def _run_bounds(cfg: RunConfig, out) -> None:
         out.write(breakdown_to_csv(bb))
 
 
-def _emit_reports(cfg: RunConfig, reports, out) -> None:
-    if cfg.format == "json":
+def _emit_reports(args, reports, out) -> None:
+    if args.format == "json":
         for r in reports:
             out.write(json.dumps(report_to_json(r)) + "\n")
     else:
         out.write(reports_to_csv(reports))
 
 
-def _run_estimate(cfg: RunConfig, out) -> None:
-    p = cfg.params
-    if p.get("n") is not None:
+def _run_estimate(args, out) -> None:
+    if args.n is not None:
         report = estimate_phi_n(
-            p["k"], p["N"], p["n"], p["trials"], cfg.seed, workers=cfg.workers
+            args.k, args.N, args.n, args.trials, args.seed, workers=args.workers
         )
     else:
         report = estimate_any_cyclotomic(
-            p["k"], p["N"], p["trials"], cfg.seed,
-            mode=p["mode"], workers=cfg.workers, cap=p.get("cap_override"),
+            args.k, args.N, args.trials, args.seed,
+            mode=args.mode, workers=args.workers, cap=args.cap_override,
         )
-    _emit_reports(cfg, [report], out)
+    _emit_reports(args, [report], out)
 
 
-def _run_decay(cfg: RunConfig, out) -> None:
-    p = cfg.params
+def _run_decay(args, out) -> None:
     try:
-        ks = [int(x) for x in p["k_list"].split(",") if x.strip()]
+        ks = [int(x) for x in args.k_list.split(",") if x.strip()]
     except ValueError:
-        raise PolyParseError(f"bad k list {p['k_list']!r}")
-    reports = decay_series(ks, p["N"], p["trials"], cfg.seed, mode=p["mode"], workers=cfg.workers)
-    _emit_reports(cfg, reports, out)
+        raise PolyParseError(f"bad k list {args.k_list!r}")
+    reports = decay_series(
+        ks, args.N, args.trials, args.seed, mode=args.mode, workers=args.workers
+    )
+    _emit_reports(args, reports, out)
 
 
-def _run_enumerate(cfg: RunConfig, out) -> None:
-    p = cfg.params
-    report = exhaustive_enumeration(p["k"], p["N"], n=p.get("n"), mode=p["mode"])
-    _emit_reports(cfg, [report], out)
+def _run_enumerate(args, out) -> None:
+    report = exhaustive_enumeration(args.k, args.N, n=args.n, mode=args.mode)
+    _emit_reports(args, [report], out)
 
 
 _HANDLERS = {
@@ -233,13 +200,14 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8", newline="\n") as out:
-                _HANDLERS[cfg.command](cfg, out)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+                _HANDLERS[args.command](args, out)
         else:
-            _HANDLERS[cfg.command](cfg, sys.stdout)
+            _HANDLERS[args.command](args, sys.stdout)
     except LacunaryError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, PolyParseError) and exc.lineno is not None:
@@ -247,11 +215,6 @@ def run(cfg: RunConfig) -> int:
         sys.stderr.write(json.dumps(payload) + "\n")
         return exc.exit_code
     return 0
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
 
 
 if __name__ == "__main__":

@@ -100,7 +100,8 @@ def _poly_divexact(f: list[int], g: list[int]) -> list[int]:
         if c:
             for j in range(dg + 1):
                 f[i + j] -= c * g[j]
-    assert all(x == 0 for x in f), "division was not exact"
+    if any(f):
+        raise ArithmeticError("division was not exact")
     return q
 
 
@@ -148,14 +149,31 @@ def _peel(n: int) -> tuple[int, int, int, int, int, int, int]:
 
 
 def _vanishes(vec: dict[int, int], n: int) -> bool:
-    """Whether sum of vec[l] * zeta_n^l is zero, zeta_n primitive n-th root."""
-    if not vec:
-        return True
+    """Whether sum of vec[l] * zeta_n^l is zero, zeta_n primitive n-th root.
+
+    Coefficients must be non-zero.  Keys need not be reduced mod n: the
+    component indices depend only on l mod q and l mod n', and congruent
+    keys merge inside a component.
+    """
+    if len(vec) < 2:
+        return not vec  # a single non-zero multiple of a root of unity
     if n == 1:
         return sum(vec.values()) == 0
-    if len(vec) == 1:
-        return False  # a single non-zero multiple of a root of unity
     q, p, nprime, phi_q, step, inv_np, inv_q = _peel(n)
+    # A component below phi_q with one key that no fold reaches cannot
+    # vanish; this rejects almost every (random polynomial, large modulus)
+    # pair after one pass over the keys.
+    acnt: dict[int, int] = {}
+    for l in vec:
+        a = (l % q) * inv_np % q
+        acnt[a] = acnt.get(a, 0) + 1
+    folded = set()
+    for a in acnt:
+        if a >= phi_q:
+            folded.add(a - phi_q)
+    for a, c in acnt.items():
+        if c == 1 and a < phi_q and a % step not in folded:
+            return False
     comps: dict[int, dict[int, int]] = {}
     for l, c in vec.items():
         a = (l % q) * inv_np % q
@@ -197,19 +215,13 @@ def root_power_sum_is_zero(exponents, n: int, coefficients=None) -> bool:
         if nc:
             vec[l] = nc
         else:
-            del vec[l]
+            vec.pop(l, None)
     return _vanishes(vec, n)
 
 
 def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
     """Structural test via prime-power peeling; no dense polynomial is built."""
-    if n < 1:
-        raise InvalidParametersError(f"modulus must be >= 1, got {n}")
-    vec: dict[int, int] = {0: 1}
-    for e in poly.exponents:
-        l = e % n
-        vec[l] = vec.get(l, 0) + 1
-    return _vanishes(vec, n)
+    return root_power_sum_is_zero((0,) + poly.exponents, n)
 
 
 # --- splitting into smaller vanishing sums ------------------------------------
@@ -269,48 +281,26 @@ def sweep_cap(N: int) -> int:
     return max(n for n in range(1, cap + 1) if phi[n] <= N)
 
 
-def _candidate_moduli(k: int, cap: int, mode: str) -> list[int]:
+@lru_cache(maxsize=64)
+def _candidate_moduli(k: int, cap: int, mode: str):
+    """Moduli a sweep tests, shared across the trials of one (k, cap, mode)."""
     if mode == "full-sweep":
-        return list(range(2, cap + 1))
+        return range(2, cap + 1)
     if mode == "fs-pruned":
         from .bounds import admissible_kernels
 
         members = set(admissible_kernels(k).members)
         rad = kernel_sieve(cap)
-        return [n for n in range(2, cap + 1) if rad[n] in members]
+        return tuple(n for n in range(2, cap + 1) if rad[n] in members)
     raise InvalidParametersError(f"unknown sweep mode {mode!r}")
 
 
-@lru_cache(maxsize=64)
-def _prepped_candidates(k: int, cap: int, mode: str) -> tuple:
-    """Candidate moduli with their peel data, shared across sweep trials."""
-    return tuple((n,) + _peel(n) for n in _candidate_moduli(k, cap, mode))
-
-
-def _candidate_hit(terms: tuple[int, ...], cand) -> bool:
-    """Full divisibility test for one candidate, behind a cheap sound filter.
-
-    A component of the first peel level that holds exactly one term and is
-    not the target of any fold can never vanish, which rejects almost every
-    (random polynomial, large modulus) pair in O(k).
-    """
-    n, q, p, nprime, phi_q, step, inv_np, _ = cand
-    acnt: dict[int, int] = {}
-    for e in terms:
-        a = (e % q) * inv_np % q
-        acnt[a] = acnt.get(a, 0) + 1
-    folded = set()
-    for a in acnt:
-        if a >= phi_q:
-            folded.add(a - phi_q)
-    for a, c in acnt.items():
-        if c == 1 and a < phi_q and (a % step) not in folded:
-            return False
-    vec: dict[int, int] = {}
-    for e in terms:
-        l = e % n
-        vec[l] = vec.get(l, 0) + 1
-    return _vanishes(vec, n)
+def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
+    """The candidate moduli whose cyclotomic polynomial divides F, lazily."""
+    if cap is None:
+        cap = sweep_cap(poly.N)
+    vec = dict.fromkeys((0,) + poly.exponents, 1)
+    return (n for n in _candidate_moduli(poly.k, cap, mode) if _vanishes(vec, n))
 
 
 def find_cyclotomic_factors(
@@ -322,21 +312,9 @@ def find_cyclotomic_factors(
     only n whose squarefree kernel passes the term-count test for k terms.
     Both verdicts agree on whether any factor exists at all.
     """
-    if cap is None:
-        cap = sweep_cap(poly.N)
-    terms = (0,) + poly.exponents
-    return [
-        cand[0]
-        for cand in _prepped_candidates(poly.k, cap, mode)
-        if _candidate_hit(terms, cand)
-    ]
+    return list(_factor_moduli(poly, mode, cap))
 
 
 def has_cyclotomic_factor(poly: SparsePoly, mode: str = "full-sweep", cap: int | None = None) -> bool:
     """Whether any cyclotomic polynomial divides F (early-exit sweep)."""
-    if cap is None:
-        cap = sweep_cap(poly.N)
-    terms = (0,) + poly.exponents
-    return any(
-        _candidate_hit(terms, cand) for cand in _prepped_candidates(poly.k, cap, mode)
-    )
+    return any(_factor_moduli(poly, mode, cap))  # every modulus is >= 2, so truthy

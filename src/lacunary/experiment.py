@@ -12,12 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
-from .cyclotomic import (
-    _candidate_hit,
-    _prepped_candidates,
-    divides_phi_dense,
-    sweep_cap,
-)
+from .cyclotomic import divides_phi_dense, has_cyclotomic_factor, sweep_cap
 from .errors import InvalidParametersError, ResourceLimitError
 from .sparsepoly import SparsePoly, sample_random
 
@@ -61,25 +56,19 @@ def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, flo
     return low, high
 
 
-def _phi_range_hits(args) -> int:
-    k, N, n, seed, lo, hi = args
+def _hit(poly: SparsePoly, n: int | None, mode: str | None, cap: int | None) -> bool:
+    """The measured event: Phi_n | F for a given n, else any factor in the sweep."""
+    if n is not None:
+        return divides_phi_dense(poly, n)
+    return has_cyclotomic_factor(poly, mode, cap)
+
+
+def _range_hits(args) -> int:
+    k, N, n, mode, cap, seed, lo, hi = args
     hits = 0
     for idx in range(lo, hi):
-        if divides_phi_dense(sample_random(k, N, seed, idx), n):
+        if _hit(sample_random(k, N, seed, idx), n, mode, cap):
             hits += 1
-    return hits
-
-
-def _any_range_hits(args) -> int:
-    k, N, mode, cap, seed, lo, hi = args
-    cands = _prepped_candidates(k, cap, mode)
-    hits = 0
-    for idx in range(lo, hi):
-        terms = (0,) + sample_random(k, N, seed, idx).exponents
-        for cand in cands:
-            if _candidate_hit(terms, cand):
-                hits += 1
-                break
     return hits
 
 
@@ -100,18 +89,26 @@ def _run_chunked(worker, base_args, trials: int, workers: int) -> int:
         return sum(worker(job) for job in jobs)
 
 
+def _estimate(
+    k: int, N: int, n: int | None, trials: int, seed: int, mode: str | None,
+    workers: int, cap: int | None,
+) -> EstimateReport:
+    hits = _run_chunked(_range_hits, (k, N, n, mode, cap, seed), trials, workers)
+    low, high = wilson_interval(hits, trials)
+    return EstimateReport(
+        k=k, N=N, n=n, trials=trials, hits=hits, estimate=hits / trials,
+        ci_low=low, ci_high=high, seed=seed, mode="monte-carlo",
+        sweep_mode=None if n is not None else mode,
+    )
+
+
 def estimate_phi_n(
     k: int, N: int, n: int, trials: int, seed: int, workers: int = 1
 ) -> EstimateReport:
     """Monte Carlo estimate of P(the n-th cyclotomic polynomial divides F)."""
     if not 1 <= k <= N or trials < 1 or n < 1 or workers < 1:
         raise InvalidParametersError("need 1 <= k <= N, n >= 1, trials >= 1, workers >= 1")
-    hits = _run_chunked(_phi_range_hits, (k, N, n, seed), trials, workers)
-    low, high = wilson_interval(hits, trials)
-    return EstimateReport(
-        k=k, N=N, n=n, trials=trials, hits=hits, estimate=hits / trials,
-        ci_low=low, ci_high=high, seed=seed, mode="monte-carlo",
-    )
+    return _estimate(k, N, n, trials, seed, None, workers, None)
 
 
 def estimate_any_cyclotomic(
@@ -127,13 +124,8 @@ def estimate_any_cyclotomic(
     if not 1 <= k <= N or trials < 1 or workers < 1:
         raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1")
     if cap is None:
-        cap = sweep_cap(N)
-    hits = _run_chunked(_any_range_hits, (k, N, mode, cap, seed), trials, workers)
-    low, high = wilson_interval(hits, trials)
-    return EstimateReport(
-        k=k, N=N, n=None, trials=trials, hits=hits, estimate=hits / trials,
-        ci_low=low, ci_high=high, seed=seed, mode="monte-carlo", sweep_mode=mode,
-    )
+        cap = sweep_cap(N)  # once here, not in every worker
+    return _estimate(k, N, None, trials, seed, mode, workers, cap)
 
 
 def exhaustive_enumeration(
@@ -150,16 +142,11 @@ def exhaustive_enumeration(
         raise ResourceLimitError(
             f"binom({N},{k}) = {total} exceeds exhaustive guard {_EXHAUSTIVE_GUARD}"
         )
-    cands = _prepped_candidates(k, sweep_cap(N), mode) if n is None else None
+    cap = sweep_cap(N) if n is None else None
     hits = 0
     for exps in combinations(range(1, N + 1), k):
-        if n is not None:
-            if divides_phi_dense(SparsePoly(exps, N), n):
-                hits += 1
-        else:
-            terms = (0,) + exps
-            if any(_candidate_hit(terms, cand) for cand in cands):
-                hits += 1
+        if _hit(SparsePoly(exps, N), n, mode, cap):
+            hits += 1
     exact = Fraction(hits, total)
     est = float(exact)
     return EstimateReport(

@@ -125,9 +125,11 @@ def build_basis(n: int) -> RelationBasis:
         raise InvalidParametersError(f"modulus must be >= 2, got {n}")
     supports = _basis_supports(n)
     rank = n - totient(n)
-    assert len(supports) == rank
+    if len(supports) != rank:
+        raise ArithmeticError(f"basis for n={n} has {len(supports)} vectors, rank is {rank}")
     for s in supports:
-        assert root_power_sum_is_zero(s, n), f"non-relation vector for n={n}"
+        if not root_power_sum_is_zero(s, n):
+            raise ArithmeticError(f"non-relation vector for n={n}")
     sets = [frozenset(s) for s in supports]
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):

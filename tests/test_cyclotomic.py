@@ -1,5 +1,7 @@
 """Cyclotomic polynomials, the two divisibility routes, splitting, sweeps."""
 
+from itertools import combinations
+
 import pytest
 
 from lacunary import (
@@ -16,6 +18,7 @@ from lacunary import (
     sample_random,
     sweep_cap,
 )
+from lacunary.cyclotomic import _poly_divexact
 from lacunary.numtheory import factorize, squarefree_kernel
 from lacunary.sparsepoly import _Stream
 
@@ -48,6 +51,12 @@ def test_cyclotomic_degree_is_totient():
 def test_cyclotomic_validation():
     with pytest.raises(InvalidParametersError):
         cyclotomic_poly(0)
+
+
+def test_inexact_division_raises():
+    assert _poly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(ArithmeticError):
+        _poly_divexact([1, 0, 1], [-1, 1])  # x^2 + 1 has remainder 2
 
 
 # --- divisibility --------------------------------------------------------------
@@ -188,6 +197,12 @@ def test_root_power_sum_matches_numeric():
         assert root_power_sum_is_zero(exps, n) == root_sum_zero_numeric(exps, n)
 
 
+def test_root_power_sum_zero_coefficients():
+    assert root_power_sum_is_zero([1, 2], 3, [0, 0])
+    assert root_power_sum_is_zero([0, 1, 2, 5], 3, [1, 1, 0, 1])
+    assert not root_power_sum_is_zero([0, 1, 2], 3, [1, 1, 0])
+
+
 # --- sweeps ----------------------------------------------------------------------
 
 
@@ -245,3 +260,17 @@ def test_pruned_factors_subset_of_full():
         pruned = set(find_cyclotomic_factors(F, "fs-pruned"))
         full = set(find_cyclotomic_factors(F, "full-sweep"))
         assert pruned <= full
+
+
+def test_full_sweep_matches_dense_exhaustively():
+    # every polynomial 1 + sum x^e with k <= 5 terms and exponents in [1, 12]
+    N = 12
+    cap = sweep_cap(N)
+    checked = 0
+    for k in range(1, 6):
+        for exps in combinations(range(1, N + 1), k):
+            F = SparsePoly(exps, N)
+            dense = [n for n in range(2, cap + 1) if divides_phi_dense(F, n)]
+            assert find_cyclotomic_factors(F, "full-sweep") == dense, exps
+            checked += 1
+    assert checked == 1585
