@@ -13,7 +13,7 @@ import sys
 
 from .bounds import admissible_kernels, breakdown_to_csv, total_bound
 from .cyclotomic import find_cyclotomic_factors
-from .errors import LacunaryError, PolyParseError
+from .errors import InvalidParametersError, LacunaryError, PolyParseError
 from .experiment import (
     decay_series,
     estimate_any_cyclotomic,
@@ -176,7 +176,7 @@ def _run_decay(args, out) -> None:
     try:
         ks = [int(x) for x in args.k_list.split(",") if x.strip()]
     except ValueError:
-        raise PolyParseError(f"bad k list {args.k_list!r}")
+        raise InvalidParametersError(f"bad k list {args.k_list!r}")
     reports = decay_series(
         ks, args.N, args.trials, args.seed, mode=args.mode, workers=args.workers
     )

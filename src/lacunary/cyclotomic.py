@@ -49,9 +49,6 @@ class DensePoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1 if self.coefficients else -1
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
 
 @dataclass(frozen=True)
 class SplitSums:
@@ -63,15 +60,6 @@ class SplitSums:
 
 
 # --- dense algorithm ---------------------------------------------------------
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_mod(f: list[int], g: list[int]) -> list[int]:

@@ -7,6 +7,7 @@ where most of these probabilities live.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -72,34 +73,40 @@ def _range_hits(args) -> int:
     return hits
 
 
-def _run_chunked(worker, base_args, trials: int, workers: int) -> int:
+def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
+    """Hits per event (k, N, n, mode, cap, seed) over trials 0..trials-1.
+
+    Each event's trials split into `workers` chunks; all chunks of all events
+    share one pool of at most nproc processes.
+    """
     bounds = [trials * i // workers for i in range(workers + 1)]
-    jobs = [
-        base_args + (lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
-    if len(jobs) <= 1 or trials < _PARALLEL_MIN_TRIALS:
-        return sum(worker(job) for job in jobs)
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(jobs)) as pool:
-            return sum(pool.map(worker, jobs))
-    except (OSError, ValueError):
-        return sum(worker(job) for job in jobs)
+    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    jobs = [event + span for event in events for span in spans]
+    if len(spans) <= 1 or trials < _PARALLEL_MIN_TRIALS:
+        hits = [_range_hits(job) for job in jobs]
+    else:
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(min(len(jobs), os.cpu_count() or 1)) as pool:
+                hits = pool.map(_range_hits, jobs)
+        except (OSError, ValueError):
+            hits = [_range_hits(job) for job in jobs]
+    per = len(spans)
+    return [sum(hits[i : i + per]) for i in range(0, len(hits), per)]
 
 
-def _estimate(
-    k: int, N: int, n: int | None, trials: int, seed: int, mode: str | None,
-    workers: int, cap: int | None,
-) -> EstimateReport:
-    hits = _run_chunked(_range_hits, (k, N, n, mode, cap, seed), trials, workers)
-    low, high = wilson_interval(hits, trials)
-    return EstimateReport(
-        k=k, N=N, n=n, trials=trials, hits=hits, estimate=hits / trials,
-        ci_low=low, ci_high=high, seed=seed, mode="monte-carlo",
-        sweep_mode=None if n is not None else mode,
-    )
+def _estimates(events: list[tuple], trials: int, seed: int, workers: int) -> list[EstimateReport]:
+    """One Monte Carlo report per event (k, N, n, mode, cap)."""
+    hits = _run_chunked([event + (seed,) for event in events], trials, workers)
+    reports = []
+    for (k, N, n, mode, _), h in zip(events, hits):
+        low, high = wilson_interval(h, trials)
+        reports.append(EstimateReport(
+            k=k, N=N, n=n, trials=trials, hits=h, estimate=h / trials,
+            ci_low=low, ci_high=high, seed=seed, mode="monte-carlo",
+            sweep_mode=None if n is not None else mode,
+        ))
+    return reports
 
 
 def estimate_phi_n(
@@ -108,7 +115,7 @@ def estimate_phi_n(
     """Monte Carlo estimate of P(the n-th cyclotomic polynomial divides F)."""
     if not 1 <= k <= N or trials < 1 or n < 1 or workers < 1:
         raise InvalidParametersError("need 1 <= k <= N, n >= 1, trials >= 1, workers >= 1")
-    return _estimate(k, N, n, trials, seed, None, workers, None)
+    return _estimates([(k, N, n, None, None)], trials, seed, workers)[0]
 
 
 def estimate_any_cyclotomic(
@@ -125,7 +132,7 @@ def estimate_any_cyclotomic(
         raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1")
     if cap is None:
         cap = sweep_cap(N)  # once here, not in every worker
-    return _estimate(k, N, None, trials, seed, mode, workers, cap)
+    return _estimates([(k, N, None, mode, cap)], trials, seed, workers)[0]
 
 
 def exhaustive_enumeration(
@@ -159,14 +166,17 @@ def exhaustive_enumeration(
 def decay_series(
     k_list, N: int, trials: int, seed: int, mode: str = "fs-pruned", workers: int = 1
 ) -> list[EstimateReport]:
-    """One any-factor estimate per k, shared degree cap and trial budget."""
+    """One any-factor estimate per k, shared degree cap and trial budget.
+
+    The trials of every k run in one pool.
+    """
     ks = list(k_list)
-    if not ks or any(k > N for k in ks):
-        raise InvalidParametersError("k list must be non-empty with every k <= N")
-    return [
-        estimate_any_cyclotomic(k, N, trials, seed, mode=mode, workers=workers)
-        for k in ks
-    ]
+    if not ks or any(not 1 <= k <= N for k in ks) or trials < 1 or workers < 1:
+        raise InvalidParametersError(
+            "need a non-empty k list with every 1 <= k <= N, trials >= 1, workers >= 1"
+        )
+    cap = sweep_cap(N)
+    return _estimates([(k, N, None, mode, cap) for k in ks], trials, seed, workers)
 
 
 # --- serialization -----------------------------------------------------------

@@ -17,13 +17,16 @@ construction over the prime-power factors of n:
 Every vector produced is a 0,1-vector, so all pairwise inner products are
 non-negative and the far corner of the fundamental mesh realizes the
 longest vector in the mesh.  The Gram determinant is a positive integer,
-computed exactly with fraction-free (Bareiss) elimination.
+computed exactly with fraction-free (Bareiss) elimination; the Gram matrix
+is positive semidefinite, so no pivot search is needed.
 
-Ball counting uses the standard quadratic-form recursion over the basis
-coefficients.  Interval bounds come from a homogenized LDL decomposition
-evaluated in floating point with a small slack toward inclusion, which is
-decisive for the rational centers used here because distinct achievable
-squared distances differ by far more than the slack.
+Ball counting is the Fincke-Pohst recursion over the basis coefficients in
+basis order: coefficients are fixed from the last down to the first, and
+the first one's admissible interval is counted in closed form.  Interval
+bounds come from one homogenized LDL decomposition evaluated in floating
+point with a small slack toward inclusion, which is decisive for the
+rational centers used here because distinct achievable squared distances
+differ by far more than the slack.
 """
 
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ class RelationBasis:
     vectors: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
     gram_det: int
-    prime_powers: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -92,21 +94,18 @@ def _basis_supports(n: int) -> list[tuple[int, ...]]:
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant of a positive semidefinite integer matrix.
+
+    Fraction-free elimination without row swaps: the pivot at step k is the
+    leading (k+1)-minor.
+    """
     m = [row[:] for row in mat]
     r = len(m)
-    sign = 1
     prev = 1
     for k in range(r - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, r):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = m[k][k]
+        if pivot == 0:
+            return 0  # PSD: A_k x = 0, x padded to y, gives y.Ay = 0, so Ay = 0 and det = 0
         for i in range(k + 1, r):
             row_i = m[i]
             row_k = m[k]
@@ -115,7 +114,7 @@ def _bareiss_det(mat: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - cik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[r - 1][r - 1]
+    return m[r - 1][r - 1]
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +151,6 @@ def build_basis(n: int) -> RelationBasis:
         vectors=tuple(vectors),
         gram=tuple(tuple(row) for row in gram),
         gram_det=det,
-        prime_powers=factorize(n),
     )
 
 
@@ -223,22 +221,16 @@ def _homogeneous_ldl(basis: RelationBasis, center, anchor):
     return d, lmat
 
 
-def _predict(d, radius_sq: float):
-    """(estimated enumeration nodes, estimated point count) from LDL pivots."""
+def _predicted_nodes(d, radius_sq: float) -> float:
+    """Estimated enumeration nodes above level 0, from the LDL pivots."""
     r = len(d) - 1
-    rad_eff_sq = max(radius_sq - d[r], 0.0)
-    rad = sqrt(rad_eff_sq)
+    rad = sqrt(max(radius_sq - d[r], 0.0))
     work = 0.0
-    count = 1.0
     logprod = 0.0
-    for m in range(1, r + 1):
+    for m in range(1, r):
         logprod += 0.5 * log(d[r - m])
-        level_nodes = exp(_ball_volume_log(m, rad) - logprod) if rad > 0 else 1.0
-        if m < r:
-            work += level_nodes
-        else:
-            count = level_nodes
-    return work, count
+        work += exp(_ball_volume_log(m, rad) - logprod) if rad > 0 else 1.0
+    return work
 
 
 def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
@@ -256,66 +248,40 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
         raise InvalidParametersError("anchor must have length n")
     r = basis.rank
     radius_sq = float(query.radius) ** 2
-
-    d_nat, l_nat = _homogeneous_ldl(basis, query.center, anchor)
-    work_nat, _ = _predict(d_nat, radius_sq)
-    rev = RelationBasis(
-        n=basis.n,
-        rank=r,
-        vectors=basis.vectors[::-1],
-        gram=tuple(tuple(basis.gram[r - 1 - i][r - 1 - j] for j in range(r)) for i in range(r)),
-        gram_det=basis.gram_det,
-        prime_powers=basis.prime_powers,
-    )
-    d_rev, l_rev = _homogeneous_ldl(rev, query.center, anchor)
-    work_rev, _ = _predict(d_rev, radius_sq)
-    d, lmat, work = (d_nat, l_nat, work_nat) if work_nat <= work_rev else (d_rev, l_rev, work_rev)
-
+    d, lmat = _homogeneous_ldl(basis, query.center, anchor)
+    work = _predicted_nodes(d, radius_sq)
     if work > _WORK_GUARD:
         raise ResourceLimitError(
             f"predicted enumeration workload {work:.3g} exceeds guard {_WORK_GUARD:g}"
         )
-
     rem0 = radius_sq - d[r]
     if rem0 < -_SLACK:
         return 0
-    t = [0] * (r + 1)
-    t[r] = 1
+    if r == 0:
+        return 1
+    t = [0] * r
 
-    def level_offset(i: int) -> float:
+    def count(i: int, rem: float) -> int:
+        """Points with t[i+1..r-1] fixed; rem is the squared radius left."""
         li = lmat[i]
         off = li[r]
         for j in range(i + 1, r):
             off += li[j] * t[j]
-        return off
+        width = sqrt(max(rem + _SLACK, 0.0) / d[i])
+        lo = ceil(-off - width)
+        hi = floor(-off + width)
+        if i == 0:
+            return max(hi - lo + 1, 0)
+        total = 0
+        for x in range(lo, hi + 1):
+            y = x + off
+            left = rem - d[i] * y * y
+            if left >= -_SLACK:
+                t[i] = x
+                total += count(i - 1, left)
+        return total
 
-    count = 0
-    # iterative DFS over levels r-1 .. 0; level 0 is counted in closed form
-    stack = [(r - 1, rem0, None)]
-    if r == 0:
-        return 1 if rem0 >= -_SLACK else 0
-    while stack:
-        i, rem, it = stack.pop()
-        if it is None:
-            off = level_offset(i)
-            width = sqrt(max(rem + _SLACK, 0.0) / d[i])
-            lo = ceil(-off - width)
-            hi = floor(-off + width)
-            if i == 0:
-                if hi >= lo:
-                    count += hi - lo + 1
-                continue
-            it = (off, lo, hi, lo)
-        off, lo, hi, nxt = it
-        if nxt > hi:
-            continue
-        stack.append((i, rem, (off, lo, hi, nxt + 1)))
-        t[i] = nxt
-        y = nxt + off
-        new_rem = rem - d[i] * y * y
-        if new_rem >= -_SLACK:
-            stack.append((i - 1, new_rem, None))
-    return count
+    return count(r - 1, rem0)
 
 
 def basis_to_json(basis: RelationBasis) -> dict:

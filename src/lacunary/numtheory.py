@@ -21,7 +21,6 @@ def primes_up_to(m: int) -> list[int]:
     return [i for i in range(m + 1) if sieve[i]]
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:

@@ -171,6 +171,18 @@ def test_central_atom_exact_on_divisible():
         assert central_atom(k, n) == float(multinomial_weight((k // n,) * n, k, n))
 
 
+def test_central_atom_loggamma_branch_against_high_precision():
+    for k, n in [(7, 2), (10, 3), (100, 7), (255, 4), (1000, 9)]:
+        assert k % n
+        with mpmath.workdps(30):
+            expected = (
+                mpmath.factorial(k)
+                / mpmath.gamma(mpmath.mpf(k) / n + 1) ** n
+                / mpmath.mpf(n) ** k
+            )
+        assert central_atom(k, n) == pytest.approx(float(expected), rel=1e-11)
+
+
 def test_loggamma_matches_factorial_to_twelve_digits():
     for m in range(1, 120):
         assert abs(exp(lgamma(m + 1)) / factorial(m) - 1) < 1e-12

@@ -1,10 +1,12 @@
 """Command-line surface: dispatch, formats, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
 
 
+from lacunary import total_bound
 from lacunary.cli import main
 
 
@@ -30,6 +32,14 @@ def test_test_command_reads_file(tmp_path, capsys):
         "mode": "full-sweep",
     }
     assert records[1]["factors"] == [] and records[1]["has_cyclotomic"] is False
+
+
+def test_test_command_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n1 3\n"))
+    code, out, err = run_cli(["test"], capsys)
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.strip().split("\n")]
+    assert [r["factors"] for r in records] == [[3], []]
 
 
 def test_test_command_parse_error_names_line(tmp_path, capsys):
@@ -87,6 +97,20 @@ def test_bounds_command(capsys):
     assert "eq3-lattice" in tags and "large-n-residue" in tags
 
 
+def test_bounds_command_json_mirrors_total_bound(capsys):
+    code, out, _ = run_cli(["bounds", "--k", "256", "--format", "json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    bb = total_bound(256)
+    assert rec["k"] == 256 and rec["total"] == bb.total
+    assert len(rec["rows"]) == len(bb.rows)
+    for row, r in zip(rec["rows"], bb.rows):
+        assert (row["label"], row["n_lo"], row["bound"], row["tag"]) == (r.label, r.n_lo, r.value, r.tag)
+        assert row["n_hi"] == ("inf" if r.n_hi == float("inf") else r.n_hi)
+        assert row["raw"] == ("inf" if r.raw == float("inf") else r.raw)
+    assert rec["rows"][-1]["n_hi"] == "inf"
+
+
 # --- experiment commands -------------------------------------------------------------
 
 
@@ -129,6 +153,13 @@ def test_decay_command(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "3" and lines[2].split(",")[0] == "4"
+
+
+def test_decay_bad_k_list_is_invalid_parameters(capsys):
+    argv = ["decay", "--k-list", "3,x", "--N", "40", "--trials", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParametersError"
 
 
 # --- determinism ---------------------------------------------------------------------

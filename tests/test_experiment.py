@@ -1,5 +1,7 @@
 """Monte Carlo and exhaustive estimation: determinism, exactness, coverage."""
 
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -162,9 +164,38 @@ def test_decay_singleton():
 def test_decay_csv_deterministic():
     a = reports_to_csv(decay_series([3, 5], 60, 400, seed=8))
     b = reports_to_csv(decay_series([3, 5], 60, 400, seed=8))
-    assert a == b
+    # 400 trials is above the pool threshold, so workers=2 runs the pool path
+    c = reports_to_csv(decay_series([3, 5], 60, 400, seed=8, workers=2))
+    assert a == b == c
     assert a.startswith("k,N,n_or_any,mode,trials,hits,estimate,ci_low,ci_high,seed\n")
     assert len(a.strip().split("\n")) == 3
+
+
+def test_pool_has_at_most_nproc_processes(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = decay_series([3, 4], 40, 300, seed=5, workers=1)
+    pooled = decay_series([3, 4], 40, 300, seed=5, workers=64)
+    assert sizes == [3]  # one pool for the whole series, capped at nproc
+    assert pooled == serial
 
 
 def test_decay_validation():
@@ -172,6 +203,12 @@ def test_decay_validation():
         decay_series([], 60, 100, seed=0)
     with pytest.raises(InvalidParametersError):
         decay_series([61], 60, 100, seed=0)
+    with pytest.raises(InvalidParametersError):
+        decay_series([3, 0], 60, 100, seed=0)
+    with pytest.raises(InvalidParametersError):
+        decay_series([3], 60, 0, seed=0)
+    with pytest.raises(InvalidParametersError):
+        decay_series([3], 60, 100, seed=0, workers=0)
 
 
 # --- serialization -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Relation-lattice basis geometry and exact ball counting."""
 
+import random
 from fractions import Fraction
 from math import gamma, pi, sqrt
 
@@ -16,6 +17,7 @@ from lacunary import (
     volume_count_bound,
 )
 from lacunary.cyclotomic import _cyclotomic_coeffs, _poly_mod
+from lacunary.lattice import _bareiss_det
 from lacunary.numtheory import omega, totient
 
 
@@ -97,6 +99,50 @@ def test_gram_det_regression_fixtures():
     expected = {6: 12, 12: 144, 30: 518400, 36: 2985984, 100: 10737418240000000000}
     for n, det in expected.items():
         assert build_basis(n).gram_det == det
+
+
+def fraction_det(mat):
+    """Determinant by Gaussian elimination over the rationals, with row swaps."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def gram_of(vectors):
+    return [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+
+
+def test_bareiss_det_singular_psd_is_zero():
+    # a zero first pivot, a zero second leading minor, and a rank-2 Gram of 3 vectors
+    for vectors in (
+        [(0, 0), (1, 2)],
+        [(1, 0, 0), (2, 0, 0), (0, 0, 1)],
+        [(1, 1), (1, -1), (2, 3)],
+    ):
+        g = gram_of(vectors)
+        assert fraction_det(g) == 0
+        assert _bareiss_det(g) == 0
+
+
+def test_bareiss_det_matches_fraction_determinant_on_random_grams():
+    rng = random.Random(11)
+    for _ in range(60):
+        r = rng.randint(1, 7)
+        dim = rng.randint(1, 8)  # dim < r gives a singular Gram
+        vectors = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(r)]
+        g = gram_of(vectors)
+        assert _bareiss_det(g) == fraction_det(g)
 
 
 # --- mesh length -------------------------------------------------------------------

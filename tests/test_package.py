@@ -28,3 +28,16 @@ def test_no_private_names_imported_across_modules():
     assert len(modules) > 5
     offenders = [hit for path in modules for hit in _private_imports(path)]
     assert offenders == []
+
+
+def test_no_assert_statements_in_library():
+    # python -O strips asserts, so library invariants must raise instead
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
