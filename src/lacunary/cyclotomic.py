@@ -20,16 +20,21 @@ divides F:
   costs roughly the number of terms times the product of the primes in n,
   which is what makes whole-sweep experiments affordable.
 
-The sweep over candidate moduli is capped by the largest n whose totient
-can possibly fit the degree, and can be pruned to moduli whose squarefree
-kernel survives the term-count test (see bounds.admissible_kernels).
+A sweep tests exactly the moduli n with phi(n) <= N, the only ones whose
+cyclotomic polynomial can divide a non-zero polynomial of degree N.  They
+are listed by a walk over prime powers, not by sieving, and the list can be
+pruned to moduli whose squarefree kernel survives the term-count test (see
+bounds.admissible_kernels).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
-from .errors import InvalidParametersError
-from .numtheory import kernel_sieve, largest_prime_power, totient_sieve
+from .bounds import admissible_kernels
+from .errors import InvalidParametersError, ResourceLimitError
+from .numtheory import largest_prime_power, primes_up_to
 from .sparsepoly import SparsePoly, reduce_mod_cyclic
 
 
@@ -194,8 +199,9 @@ def root_power_sum_is_zero(exponents, n: int, coefficients=None) -> bool:
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
     exponents = list(exponents)
-    if coefficients is None:
-        coefficients = [1] * len(exponents)
+    coefficients = [1] * len(exponents) if coefficients is None else list(coefficients)
+    if len(coefficients) != len(exponents):
+        raise InvalidParametersError("need exactly one coefficient per exponent")
     vec: dict[int, int] = {}
     for e, c in zip(exponents, coefficients):
         l = e % n
@@ -240,55 +246,63 @@ def part_vanishes(split: SplitSums, i: int) -> bool:
 
 # --- candidate sweep -----------------------------------------------------------
 
-# n/phi(n) < e^gamma*lnln(n) + 3/lnln(n) for all n >= 3; with the constant 3 the
-# bound has no exceptional n, so it yields a rigorous cap for the sieve below.
-_E_GAMMA = 1.7810724179901979
-
-
-def _totient_over_cap(N: int) -> int:
-    from math import log
-
-    if N <= 40:
-        return 2 * N * N
-    x = 2.0 * N * N
-    for _ in range(64):
-        ll = log(log(x))
-        nxt = N * (_E_GAMMA * ll + 3.0 / ll)
-        if nxt >= x - 1:
-            break
-        x = nxt
-    return int(x) + 16
-
-
-def sweep_cap(N: int) -> int:
-    """Largest n with phi(n) <= N, by sieving phi up to a rigorous over-cap."""
-    if N < 1:
-        raise InvalidParametersError(f"degree cap must be >= 1, got {N}")
-    cap = _totient_over_cap(N)
-    phi = totient_sieve(cap)
-    return max(n for n in range(1, cap + 1) if phi[n] <= N)
+# F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
+# About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify; that count
+# predicts a sweep's size before anything is allocated.
+_PHI_DENSITY = 1.9436
+_SWEEP_GUARD = 10**7
 
 
 @lru_cache(maxsize=64)
-def _candidate_moduli(k: int, cap: int, mode: str):
-    """Moduli a sweep tests, shared across the trials of one (k, cap, mode)."""
-    if mode == "full-sweep":
-        return range(2, cap + 1)
-    if mode == "fs-pruned":
-        from .bounds import admissible_kernels
+def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]:
+    """Every n >= 2 with phi(n) <= N and n <= cap (if given), ascending.
 
-        members = set(admissible_kernels(k).members)
-        rad = kernel_sieve(cap)
-        return tuple(n for n in range(2, cap + 1) if rad[n] in members)
-    raise InvalidParametersError(f"unknown sweep mode {mode!r}")
+    k=None lists them all (full sweep); otherwise only the n whose squarefree
+    kernel is admissible for k terms (fs-pruned).  The list comes from a
+    depth-first walk over prime powers.
+    """
+    if cap is not None and cap >= 2 * N:
+        # a cap of 2N or more predicts no fewer moduli than no cap, so trim the
+        # shared uncapped tuple rather than cache a second copy of it
+        full = _candidate_moduli(N, k, None)
+        return full if cap >= full[-1] else full[: bisect_right(full, cap)]
+    predicted = _PHI_DENSITY * N if cap is None else min(_PHI_DENSITY * N, cap)
+    if predicted > _SWEEP_GUARD:
+        raise ResourceLimitError(f"{predicted:.3g} predicted moduli exceed guard {_SWEEP_GUARD}")
+    top = inf if cap is None else cap
+    members = None if k is None else set(admissible_kernels(k).members)
+    primes = primes_up_to(min(N + 1, top) if k is None else min(N + 1, top, k + 1))
+    found = []
+
+    def walk(start: int, n: int, phi: int, rad: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            m, f = n * p, phi * (p - 1)
+            if f > N or m > top or (members is not None and rad * p not in members):
+                break  # all three only fail more as p grows (a prime costs p - 2)
+            while f <= N and m <= top:
+                found.append(m)
+                walk(i + 1, m, f, rad * p)
+                m, f = m * p, f * p
+
+    walk(0, 1, 1, 1)
+    return tuple(sorted(found))
+
+
+def sweep_cap(N: int) -> int:
+    """Largest n with phi(n) <= N: the last modulus a full sweep tests."""
+    if N < 1:
+        raise InvalidParametersError(f"degree cap must be >= 1, got {N}")
+    return _candidate_moduli(N, None, None)[-1]
 
 
 def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
     """The candidate moduli whose cyclotomic polynomial divides F, lazily."""
-    if cap is None:
-        cap = sweep_cap(poly.N)
+    if mode not in ("full-sweep", "fs-pruned"):
+        raise InvalidParametersError(f"unknown sweep mode {mode!r}")
+    k = poly.k if mode == "fs-pruned" else None
     vec = dict.fromkeys((0,) + poly.exponents, 1)
-    return (n for n in _candidate_moduli(poly.k, cap, mode) if _vanishes(vec, n))
+    return (n for n in _candidate_moduli(poly.N, k, cap) if _vanishes(vec, n))
 
 
 def find_cyclotomic_factors(
@@ -296,9 +310,10 @@ def find_cyclotomic_factors(
 ) -> list[int]:
     """All n in the sweep range whose cyclotomic polynomial divides F.
 
-    mode 'full-sweep' tests every n in [2, sweep_cap(N)]; 'fs-pruned' tests
-    only n whose squarefree kernel passes the term-count test for k terms.
-    Both verdicts agree on whether any factor exists at all.
+    mode 'full-sweep' tests every n >= 2 with phi(n) <= N; 'fs-pruned' tests
+    only those whose squarefree kernel passes the term-count test for k
+    terms.  A cap further limits both to n <= cap.  Both modes agree on
+    whether any factor exists at all.
     """
     return list(_factor_moduli(poly, mode, cap))
 

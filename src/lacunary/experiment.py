@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
-from .cyclotomic import divides_phi_dense, has_cyclotomic_factor, sweep_cap
+from .cyclotomic import divides_phi_dense, has_cyclotomic_factor
 from .errors import InvalidParametersError, ResourceLimitError
 from .sparsepoly import SparsePoly, sample_random
 
@@ -130,8 +130,6 @@ def estimate_any_cyclotomic(
     """Monte Carlo estimate of P(F has any cyclotomic factor) under a sweep mode."""
     if not 1 <= k <= N or trials < 1 or workers < 1:
         raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1")
-    if cap is None:
-        cap = sweep_cap(N)  # once here, not in every worker
     return _estimates([(k, N, None, mode, cap)], trials, seed, workers)[0]
 
 
@@ -149,10 +147,9 @@ def exhaustive_enumeration(
         raise ResourceLimitError(
             f"binom({N},{k}) = {total} exceeds exhaustive guard {_EXHAUSTIVE_GUARD}"
         )
-    cap = sweep_cap(N) if n is None else None
     hits = 0
     for exps in combinations(range(1, N + 1), k):
-        if _hit(SparsePoly(exps, N), n, mode, cap):
+        if _hit(SparsePoly(exps, N), n, mode, None):
             hits += 1
     exact = Fraction(hits, total)
     est = float(exact)
@@ -175,8 +172,7 @@ def decay_series(
         raise InvalidParametersError(
             "need a non-empty k list with every 1 <= k <= N, trials >= 1, workers >= 1"
         )
-    cap = sweep_cap(N)
-    return _estimates([(k, N, None, mode, cap) for k in ks], trials, seed, workers)
+    return _estimates([(k, N, None, mode, None) for k in ks], trials, seed, workers)
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Small number-theoretic helpers used across the package.
 
-Everything here is exact integer arithmetic; sieves are cached because the
-sweep and candidate machinery call them repeatedly with the same bounds.
+Everything here is exact integer arithmetic.  The totient sieve is cached
+because `bounds.total_bound` sieves the same mid range again for every k
+that shares its upper end.
 """
 
 from functools import lru_cache
@@ -75,25 +76,6 @@ def is_squarefree(n: int) -> bool:
 def omega(n: int) -> int:
     """Number of distinct prime factors."""
     return len(factorize(n))
-
-
-@lru_cache(maxsize=8)
-def kernel_sieve(m: int) -> tuple[int, ...]:
-    """squarefree_kernel(0..m) as a tuple, via a smallest-prime-factor sieve."""
-    spf = list(range(m + 1))
-    for p in range(2, int(m**0.5) + 1):
-        if spf[p] == p:
-            for k in range(p * p, m + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    rad = [0] * (m + 1)
-    if m >= 1:
-        rad[1] = 1
-    for n in range(2, m + 1):
-        p = spf[n]
-        q = n // p
-        rad[n] = rad[q] if q % p == 0 else rad[q] * p
-    return tuple(rad)
 
 
 def largest_prime_power(n: int) -> tuple[int, int, int]:

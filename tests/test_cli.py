@@ -147,6 +147,12 @@ def test_enumerate_resource_limit_exit_code(capsys):
     assert json.loads(err)["error"] == "ResourceLimitError"
 
 
+def test_factors_sweep_guard_exit_code(capsys):
+    code, out, err = run_cli(["factors", "100000000"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+
+
 def test_decay_command(capsys):
     argv = ["decay", "--k-list", "3,4", "--N", "40", "--trials", "300", "--seed", "2"]
     code, out, _ = run_cli(argv, capsys)

@@ -1,12 +1,15 @@
 """Cyclotomic polynomials, the two divisibility routes, splitting, sweeps."""
 
+import time
 from itertools import combinations
 
 import pytest
 
 from lacunary import (
     InvalidParametersError,
+    ResourceLimitError,
     SparsePoly,
+    admissible_kernels,
     conway_jones_split,
     cyclotomic_poly,
     divides_phi_dense,
@@ -18,7 +21,7 @@ from lacunary import (
     sample_random,
     sweep_cap,
 )
-from lacunary.cyclotomic import _poly_divexact
+from lacunary.cyclotomic import _candidate_moduli, _poly_divexact
 from lacunary.numtheory import factorize, squarefree_kernel
 from lacunary.sparsepoly import _Stream
 
@@ -203,6 +206,13 @@ def test_root_power_sum_zero_coefficients():
     assert not root_power_sum_is_zero([0, 1, 2], 3, [1, 1, 0])
 
 
+def test_root_power_sum_length_mismatch_raises():
+    with pytest.raises(InvalidParametersError):
+        root_power_sum_is_zero([0, 1], 2, [1, 1, 5])
+    with pytest.raises(InvalidParametersError):
+        root_power_sum_is_zero([0, 1, 2], 3, [1, 1])
+
+
 # --- sweeps ----------------------------------------------------------------------
 
 
@@ -214,12 +224,67 @@ def test_sweep_cap_small():
 
 
 def test_sweep_cap_against_brute_force():
-    # the over-cap must never clip the true maximum
+    # trial-division totients over a range far past the answer
     from oracles import brute_sweep_max
 
     assert sweep_cap(100) == brute_sweep_max(100, 20000)
     for N in (3, 7, 12, 33):
         assert sweep_cap(N) == brute_sweep_max(N, 40 * N * N)
+
+
+@pytest.fixture(scope="module")
+def phi_to_60():
+    # phi(n) >= sqrt(n) for n > 6, so every n with phi(n) <= 60 is below 3607
+    return {n: phi_brute(n) for n in range(2, 60 * 60 + 7)}
+
+
+def test_full_sweep_candidates_are_the_moduli_with_phi_at_most_N(phi_to_60):
+    for N in range(1, 61):
+        brute = sorted(n for n, f in phi_to_60.items() if f <= N)
+        assert _candidate_moduli(N, None, None) == tuple(brute), N
+        assert sweep_cap(N) == brute[-1]
+        for cap in (1, 2, N, N + 1, 2 * N, brute[-1] - 1, brute[-1] + 5):
+            expect = tuple(n for n in brute if n <= cap)
+            assert _candidate_moduli(N, None, cap) == expect, (N, cap)
+
+
+def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
+    for k in range(1, 14):
+        members = set(admissible_kernels(k).members)
+        for N in (k, 30, 60):
+            expect = tuple(
+                n for n, f in sorted(phi_to_60.items())
+                if f <= N and squarefree_kernel(n) in members
+            )
+            assert _candidate_moduli(N, k, None) == expect, (k, N)
+
+
+def test_sweep_cap_shares_the_full_sweep_candidates():
+    N = 500
+    full = _candidate_moduli(N, None, None)
+    assert _candidate_moduli(N, None, sweep_cap(N)) is full
+
+
+def test_unknown_sweep_mode_raises():
+    F = SparsePoly((1, 2), 2)
+    with pytest.raises(InvalidParametersError):
+        find_cyclotomic_factors(F, mode="bogus")
+    with pytest.raises(InvalidParametersError):
+        has_cyclotomic_factor(F, mode="bogus")
+
+
+def test_sweep_guard_refuses_before_allocating():
+    with pytest.raises(ResourceLimitError):
+        sweep_cap(10**8)
+    with pytest.raises(ResourceLimitError):
+        find_cyclotomic_factors(SparsePoly((10**8,), 10**8))
+
+
+def test_small_cap_bounds_the_walk_not_the_degree():
+    # x^(10^8) + 1 has Phi_n | F exactly when n | 2 * 10^8 and n does not divide 10^8
+    t = time.perf_counter()
+    assert find_cyclotomic_factors(SparsePoly((10**8,), 10**8), cap=1000) == [512]
+    assert time.perf_counter() - t < 1.0
 
 
 def test_find_factors_examples():

@@ -1,4 +1,5 @@
-"""Package layout: modules reach each other only through public names."""
+"""Package layout: modules reach each other only through public names, and
+every library definition is used."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,31 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _names_used(node) -> set[str]:
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_library_function_and_class_is_referenced():
+    # a definition only its own body names (or nothing names) is dead code
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _names_used(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{path.name}:{stmt.name}")
+                names.discard(stmt.name)
+            used |= names
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(defined) > 50
+    assert [d for d in defined if d.split(":")[1] not in used] == []
