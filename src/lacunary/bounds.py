@@ -63,10 +63,11 @@ def chernoff_binomial(trials: int, p: float, delta: float) -> float:
     return 2.0 * exp(-delta * delta * trials * p / 3.0)
 
 
-def admissible_kernels(k: int) -> CandidateSet:
+def admissible_kernels(k: int, limit: int = _KERNEL_ENUM_GUARD) -> CandidateSet:
     """All squarefree m with 2 + sum_{p | m}(p - 2) <= k + 1, exhaustively.
 
     The prime condition forces p <= k + 1, so the enumeration is complete.
+    More than `limit` members raise ResourceLimitError.
     """
     if k < 1:
         raise InvalidParametersError(f"term count must be >= 1, got {k}")
@@ -75,7 +76,7 @@ def admissible_kernels(k: int) -> CandidateSet:
     members: list[int] = []
 
     def dfs(idx: int, prod: int, used: int):
-        if len(members) > _KERNEL_ENUM_GUARD:
+        if len(members) > limit:
             raise ResourceLimitError("candidate kernel enumeration exceeds guard")
         members.append(prod)
         for j in range(idx, len(primes)):

@@ -20,21 +20,37 @@ divides F:
   costs roughly the number of terms times the product of the primes in n,
   which is what makes whole-sweep experiments affordable.
 
-A sweep tests exactly the moduli n with phi(n) <= N, the only ones whose
-cyclotomic polynomial can divide a non-zero polynomial of degree N.  They
-are listed by a walk over prime powers, not by sieving, and the list can be
-pruned to moduli whose squarefree kernel survives the term-count test (see
-bounds.admissible_kernels).
+A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
+whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
+They are listed by a walk over prime powers, not by sieving, and the list
+can be pruned to moduli whose squarefree kernel survives the term-count
+test (see bounds.admissible_kernels).
+
+Within the range, only moduli generated from F's own exponents are tested.
+If the n-th cyclotomic polynomial divides F, the k + 1 roots zeta_n^t,
+t in {0, e_1, ..., e_k}, sum to zero, and the sum splits into minimal
+vanishing sub-sums.  The one holding the constant term has s <= k + 1
+terms, so by Mann (Mathematika 12, 1965) its terms are m-th roots of unity
+for a squarefree m, and by Conway-Jones (Acta Arith. 30, 1976)
+2 + sum_{p | m} (p - 2) <= s: m is admissible for k.  Each other term
+zeta_n^{e_j} of that sub-sum (a partner of the constant term) has order
+n / gcd(n, e_j) dividing m, so admissible too, since admissibility passes
+to divisors; and some partner's order is above 1, or the sub-sum would add
+up to s.  So n = g * m' with g = gcd(n, e_j) and m' > 1 admissible and
+prime to e_j / g.  The sweep builds these products, keeps those in the
+range and tests them in ascending order, so factor lists and early exits
+are those of the whole range.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, ResourceLimitError
-from .numtheory import largest_prime_power, primes_up_to
+from .numtheory import largest_prime_power, primes_up_to, smooth_divisors
 from .sparsepoly import SparsePoly, reduce_mod_cyclic
 
 
@@ -129,7 +145,9 @@ def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
 # --- structural algorithm ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# A sweep's working set is a few thousand moduli and their cofactors: 1,909
+# for a 20-polynomial detect file, 882 for one full sweep at N = 3 * 10^4.
+@lru_cache(maxsize=8192)
 def _peel(n: int) -> tuple[int, int, int, int, int, int, int]:
     """Recursion data for modulus n >= 2: (q, p, n', phi_q, step, inv_n', inv_q)."""
     p, e, q = largest_prime_power(n)
@@ -251,6 +269,31 @@ def part_vanishes(split: SplitSums, i: int) -> bool:
 # predicts a sweep's size before anything is allocated.
 _PHI_DENSITY = 1.9436
 _SWEEP_GUARD = 10**7
+# beyond this many admissible kernels (k of about 120) the generated products
+# cost more than testing the whole range
+_GENERATE_KERNELS = 2**14
+
+
+def _predicted_moduli(N: int, k: int | None) -> float:
+    """An upper estimate of a sweep's size, from N and k alone.
+
+    A fs-pruned modulus n is (k+1)-smooth, and n = phi(n) * prod_{p | n}
+    p / (p - 1) <= N * prod_{p <= k+1} p / (p - 1) = X, so there are at most
+    prod_{p <= k+1} (floor(log_p X) + 1) of them: an exact bound.
+    """
+    if k is None:
+        return _PHI_DENSITY * N
+    primes = primes_up_to(k + 1)
+    num, den = N, 1  # X = num / den
+    for p in primes:
+        num, den = num * p, den * (p - 1)
+    smooth = 1
+    for p in primes:
+        powers, q = 1, p
+        while q * den <= num:
+            powers, q = powers + 1, q * p
+        smooth *= powers
+    return min(_PHI_DENSITY * N, smooth)
 
 
 @lru_cache(maxsize=64)
@@ -266,7 +309,9 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
         # shared uncapped tuple rather than cache a second copy of it
         full = _candidate_moduli(N, k, None)
         return full if cap >= full[-1] else full[: bisect_right(full, cap)]
-    predicted = _PHI_DENSITY * N if cap is None else min(_PHI_DENSITY * N, cap)
+    predicted = _predicted_moduli(N, k)
+    if cap is not None:
+        predicted = min(predicted, cap)
     if predicted > _SWEEP_GUARD:
         raise ResourceLimitError(f"{predicted:.3g} predicted moduli exceed guard {_SWEEP_GUARD}")
     top = inf if cap is None else cap
@@ -296,13 +341,52 @@ def sweep_cap(N: int) -> int:
     return _candidate_moduli(N, None, None)[-1]
 
 
+@lru_cache(maxsize=64)
+def _partner_kernels(k: int) -> tuple[int, ...] | None:
+    """Admissible kernels for k terms, or None when too many to generate from."""
+    try:
+        return admissible_kernels(k, _GENERATE_KERNELS).members
+    except ResourceLimitError:
+        return None
+
+
+def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequence[int]:
+    """The moduli of the sweep range that a partner of the constant term allows.
+
+    Exactly the n of the range with n / gcd(n, e_j) admissible and above 1
+    for some exponent e_j (see the module docstring), ascending.  Each is
+    g * m with g = gcd(n, e_j), so m is prime to e_j / g; g divides n, so it
+    uses only the primes of the range.
+    """
+    moduli = _candidate_moduli(poly.N, k, cap)
+    if not poly.exponents or not moduli:
+        return ()
+    kernels = _partner_kernels(poly.k)
+    if kernels is None:
+        return moduli
+    bound = poly.N + 1 if k is None else k + 1
+    top = moduli[-1]
+    products = set()
+    for e in poly.exponents:
+        for g in smooth_divisors(e, bound):
+            rest = e // g
+            for m in kernels:
+                n = g * m
+                if n > top:
+                    break
+                if rest % m:
+                    products.add(n)
+    # n <= top, so bisect_left finds an index inside the range
+    return sorted(n for n in products if moduli[bisect_left(moduli, n)] == n)
+
+
 def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
     """The candidate moduli whose cyclotomic polynomial divides F, lazily."""
     if mode not in ("full-sweep", "fs-pruned"):
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     k = poly.k if mode == "fs-pruned" else None
     vec = dict.fromkeys((0,) + poly.exponents, 1)
-    return (n for n in _candidate_moduli(poly.N, k, cap) if _vanishes(vec, n))
+    return (n for n in _partner_moduli(poly, k, cap) if _vanishes(vec, n))
 
 
 def find_cyclotomic_factors(
@@ -310,10 +394,11 @@ def find_cyclotomic_factors(
 ) -> list[int]:
     """All n in the sweep range whose cyclotomic polynomial divides F.
 
-    mode 'full-sweep' tests every n >= 2 with phi(n) <= N; 'fs-pruned' tests
-    only those whose squarefree kernel passes the term-count test for k
-    terms.  A cap further limits both to n <= cap.  Both modes agree on
-    whether any factor exists at all.
+    mode 'full-sweep' ranges over every n >= 2 with phi(n) <= N; 'fs-pruned'
+    over only those whose squarefree kernel passes the term-count test for
+    k terms.  A cap further limits both to n <= cap.  Both modes agree on
+    whether any factor exists at all.  Only the moduli the exponents allow
+    are tested, which finds the same factors as testing the whole range.
     """
     return list(_factor_moduli(poly, mode, cap))
 

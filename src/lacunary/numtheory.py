@@ -41,6 +41,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def smooth_divisors(n: int, bound: int) -> list[int]:
+    """The divisors of n >= 1 whose prime factors are all <= bound."""
+    divs = [1]
+    for p, e in factorize(n):
+        if p <= bound:
+            divs = [d * p**i for d in divs for i in range(e + 1)]
+    return divs
+
+
 def totient(n: int) -> int:
     r = n
     for p, _ in factorize(n):

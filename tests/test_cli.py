@@ -153,6 +153,15 @@ def test_factors_sweep_guard_exit_code(capsys):
     assert json.loads(err)["error"] == "ResourceLimitError"
 
 
+def test_pruned_decay_at_large_degree_is_not_refused(capsys):
+    # a fs-pruned sweep lists only (k+1)-smooth moduli: 522 at most for k=3
+    # and 6,786 for k=5 at N = 10^8, far below the full sweep's 1.94 * 10^8
+    argv = ["decay", "--k-list", "3,5", "--N", "100000000", "--trials", "50"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["3", "5"]
+
+
 def test_decay_command(capsys):
     argv = ["decay", "--k-list", "3,4", "--N", "40", "--trials", "300", "--seed", "2"]
     code, out, _ = run_cli(argv, capsys)

@@ -2,6 +2,7 @@
 
 import time
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -21,8 +22,14 @@ from lacunary import (
     sample_random,
     sweep_cap,
 )
-from lacunary.cyclotomic import _candidate_moduli, _poly_divexact
-from lacunary.numtheory import factorize, squarefree_kernel
+from lacunary.cyclotomic import (
+    _candidate_moduli,
+    _partner_moduli,
+    _poly_divexact,
+    _predicted_moduli,
+    _vanishes,
+)
+from lacunary.numtheory import factorize, smooth_divisors, squarefree_kernel
 from lacunary.sparsepoly import _Stream
 
 from oracles import cyclotomic_via_mobius, phi_brute, root_sum_zero_numeric
@@ -339,3 +346,104 @@ def test_full_sweep_matches_dense_exhaustively():
             assert find_cyclotomic_factors(F, "full-sweep") == dense, exps
             checked += 1
     assert checked == 1585
+
+
+# --- generated candidates --------------------------------------------------------
+
+MODES = ("full-sweep", "fs-pruned")
+
+
+def _reference_factors(F, mode, cap):
+    """The walk the generator replaces: _vanishes on every modulus of the range."""
+    vec = dict.fromkeys((0,) + F.exponents, 1)
+    k = F.k if mode == "fs-pruned" else None
+    return [n for n in _candidate_moduli(F.N, k, cap) if _vanishes(vec, n)]
+
+
+def _assert_generated_is_exact(F, caps):
+    for mode in MODES:
+        for cap in caps:
+            assert find_cyclotomic_factors(F, mode, cap) == _reference_factors(F, mode, cap), (
+                F.exponents, F.N, mode, cap,
+            )
+
+
+def test_smooth_divisors():
+    assert smooth_divisors(1, 1) == [1]
+    assert sorted(smooth_divisors(360, 400)) == [d for d in range(1, 361) if 360 % d == 0]
+    assert sorted(smooth_divisors(2 * 9 * 7 * 11, 7)) == [1, 2, 3, 6, 7, 9, 14, 18, 21, 42, 63, 126]
+
+
+def test_generated_matches_the_walk_exhaustively():
+    # every polynomial with k <= 5 terms and exponents in [1, 12], two caps
+    checked = 0
+    for k in range(1, 6):
+        for exps in combinations(range(1, 13), k):
+            _assert_generated_is_exact(SparsePoly(exps, 12), (None, 9))
+            checked += 1
+    assert checked == 1585
+
+
+def test_generated_matches_the_walk_on_seeded_polynomials():
+    stream = _Stream(43, 0)
+    for i in range(60):
+        k = (2, 3, 6, 10, 13, 20)[i % 6]
+        N = k + stream.randbelow(1001 - k)
+        F = sample_random(k, N, 47, i)
+        _assert_generated_is_exact(F, (None, N // 2 + 1))
+    # a few at N = 10^5; the uncapped full walk takes seconds, so only k = 3 runs it
+    _assert_generated_is_exact(sample_random(3, 10**5, 53, 0), (None, 10**4))
+    for k in (13, 20):
+        F = sample_random(k, 10**5, 53, k)
+        _assert_generated_is_exact(F, (10**4,))
+        assert find_cyclotomic_factors(F, "fs-pruned") == _reference_factors(F, "fs-pruned", None)
+
+
+def test_generated_matches_the_walk_on_geometric_progressions():
+    # 1 + x^a + ... + x^{ka} = (x^{(k+1)a} - 1) / (x^a - 1): Phi_n divides it
+    # exactly when n divides (k+1)a but not a, so every candidate list is tested
+    # against a closed form as well as against the walk
+    for k in range(1, 9):
+        for a in range(1, 40, 3):
+            F = SparsePoly(tuple(a * i for i in range(1, k + 1)), k * a)
+            M = (k + 1) * a
+            expect = [n for n in range(2, M + 1) if M % n == 0 and a % n != 0]
+            assert find_cyclotomic_factors(F) == expect, (k, a)
+            _assert_generated_is_exact(F, (None, M // 2))
+
+
+def test_dense_factors_are_among_the_generated_candidates():
+    stream = _Stream(59, 0)
+    for i in range(40):
+        k = stream.randbelow(7) + 1
+        F = sample_random(k, 40, 61, i)
+        dense = [n for n in range(2, sweep_cap(F.N) + 1) if divides_phi_dense(F, n)]
+        assert set(dense) <= set(_partner_moduli(F, None, None)), F.exponents
+        assert dense == find_cyclotomic_factors(F)
+
+
+def test_generated_candidates_are_the_partner_moduli():
+    # exactly the n of the range with n / gcd(n, e_j) admissible and above 1
+    # for some exponent e_j; a small share of the range
+    F = sample_random(13, 10**4, 1, 0)
+    kernels = set(admissible_kernels(F.k).members) - {1}
+    for k in (None, F.k):
+        moduli = _candidate_moduli(F.N, k, None)
+        partners = [n for n in moduli if any(n // gcd(n, e) in kernels for e in F.exponents)]
+        assert list(_partner_moduli(F, k, None)) == partners
+        assert len(partners) * 3 < len(moduli)
+
+
+def test_many_kernels_fall_back_to_the_walk():
+    # k = 130 admits more kernels than pay for themselves; the range is tested whole
+    F = sample_random(130, 400, 67, 0)
+    assert _partner_moduli(F, None, None) is _candidate_moduli(F.N, None, None)
+    _assert_generated_is_exact(F, (None,))
+
+
+def test_pruned_guard_prediction_bounds_the_walk():
+    for k in range(1, 14):
+        for N in (1, 7, 100, 3000):
+            assert _predicted_moduli(N, k) >= len(_candidate_moduli(N, k, None)), (k, N)
+    assert _predicted_moduli(10**8, 3) == 29 * 18  # 2^a 3^b <= 3 * 10^8
+    assert _predicted_moduli(10**4, None) == pytest.approx(19436)
