@@ -22,9 +22,11 @@ divides F:
 
 A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
 whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
-They are listed by a walk over prime powers, not by sieving, and the list
-can be pruned to moduli whose squarefree kernel survives the term-count
-test (see bounds.admissible_kernels).
+It can be pruned to moduli whose squarefree kernel survives the term-count
+test (see bounds.admissible_kernels).  Sweeps never list the range: its
+last modulus, sweep_cap(N), comes from a branch and bound over prime
+powers, and each candidate is checked against the range from its own
+factorisation.
 
 Within the range, only moduli generated from F's own exponents are tested.
 If the n-th cyclotomic polynomial divides F, the k + 1 roots zeta_n^t,
@@ -37,20 +39,21 @@ zeta_n^{e_j} of that sub-sum (a partner of the constant term) has order
 n / gcd(n, e_j) dividing m, so admissible too, since admissibility passes
 to divisors; and some partner's order is above 1, or the sub-sum would add
 up to s.  So n = g * m' with g = gcd(n, e_j) and m' > 1 admissible and
-prime to e_j / g.  The sweep builds these products, keeps those in the
-range and tests them in ascending order, so factor lists and early exits
-are those of the whole range.
+prime to e_j / g.  The sweep builds these products, keeps those with
+phi(g * m') <= N (and, for the pruned range, an admissible kernel) and
+tests them in ascending order, so factor lists and early exits are those
+of the whole range.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
+from math import gcd, inf
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, ResourceLimitError
-from .numtheory import largest_prime_power, primes_up_to, smooth_divisors
+from .numtheory import largest_prime_power, primes_up_to, smooth_divisors, totient
 from .sparsepoly import SparsePoly, reduce_mod_cyclic
 
 
@@ -274,46 +277,62 @@ _SWEEP_GUARD = 10**7
 _GENERATE_KERNELS = 2**14
 
 
+@lru_cache(maxsize=256)
+def _pruned_top(N: int, k: int) -> int:
+    """floor(N * prod_{p <= k+1} p / (p - 1)): no fs-pruned modulus exceeds it.
+
+    A fs-pruned modulus n is (k+1)-smooth, and n = phi(n) * prod_{p | n} p / (p - 1).
+    """
+    num, den = N, 1
+    for p in primes_up_to(k + 1):
+        num, den = num * p, den * (p - 1)
+    return num // den
+
+
+@lru_cache(maxsize=256)
 def _predicted_moduli(N: int, k: int | None) -> float:
     """An upper estimate of a sweep's size, from N and k alone.
 
-    A fs-pruned modulus n is (k+1)-smooth, and n = phi(n) * prod_{p | n}
-    p / (p - 1) <= N * prod_{p <= k+1} p / (p - 1) = X, so there are at most
-    prod_{p <= k+1} (floor(log_p X) + 1) of them: an exact bound.
+    A fs-pruned modulus is (k+1)-smooth and at most X = _pruned_top(N, k), so
+    there are at most prod_{p <= k+1} (floor(log_p X) + 1) of them: an exact
+    bound.
     """
     if k is None:
         return _PHI_DENSITY * N
-    primes = primes_up_to(k + 1)
-    num, den = N, 1  # X = num / den
-    for p in primes:
-        num, den = num * p, den * (p - 1)
+    top = _pruned_top(N, k)
     smooth = 1
-    for p in primes:
+    for p in primes_up_to(k + 1):
         powers, q = 1, p
-        while q * den <= num:
+        while q <= top:
             powers, q = powers + 1, q * p
         smooth *= powers
     return min(_PHI_DENSITY * N, smooth)
 
 
-@lru_cache(maxsize=64)
-def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]:
-    """Every n >= 2 with phi(n) <= N and n <= cap (if given), ascending.
-
-    k=None lists them all (full sweep); otherwise only the n whose squarefree
-    kernel is admissible for k terms (fs-pruned).  The list comes from a
-    depth-first walk over prime powers.
-    """
-    if cap is not None and cap >= 2 * N:
-        # a cap of 2N or more predicts no fewer moduli than no cap, so trim the
-        # shared uncapped tuple rather than cache a second copy of it
-        full = _candidate_moduli(N, k, None)
-        return full if cap >= full[-1] else full[: bisect_right(full, cap)]
+def _guard(N: int, k: int | None, cap: int | None) -> None:
+    """Refuse a sweep predicted above the guard, before anything is allocated."""
     predicted = _predicted_moduli(N, k)
     if cap is not None:
         predicted = min(predicted, cap)
     if predicted > _SWEEP_GUARD:
         raise ResourceLimitError(f"{predicted:.3g} predicted moduli exceed guard {_SWEEP_GUARD}")
+
+
+@lru_cache(maxsize=4)
+def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]:
+    """Every n >= 2 with phi(n) <= N and n <= cap (if given), ascending.
+
+    k=None lists them all (full sweep); otherwise only the n whose squarefree
+    kernel is admissible for k terms (fs-pruned).  The list comes from a
+    depth-first walk over prime powers.  Sweeps use it only above
+    _GENERATE_KERNELS admissible kernels, so the cache holds few ranges.
+    """
+    _guard(N, k, cap)
+    if cap is not None and cap >= 2 * N:
+        # a cap of 2N or more predicts no fewer moduli than no cap, so trim the
+        # shared uncapped tuple rather than cache a second copy of it
+        full = _candidate_moduli(N, k, None)
+        return full if cap >= full[-1] else full[: bisect_right(full, cap)]
     top = inf if cap is None else cap
     members = None if k is None else set(admissible_kernels(k).members)
     primes = primes_up_to(min(N + 1, top) if k is None else min(N + 1, top, k + 1))
@@ -334,20 +353,62 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=256)
+def _largest_modulus(N: int) -> int:
+    """Largest n with phi(n) <= N, by branch and bound over prime powers.
+
+    Extending a node n (totient phi) by primes from p_i on reaches at most
+    N * (n / phi) * prod p / (p - 1) over the consecutive run p_i, p_{i+1},
+    ... while phi * prod (p - 1) <= N: the j-th new prime is at least
+    p_{i+j}, so no extension has more primes or a larger ratio.  The bound
+    only falls as i grows, so a node stops at the first i it cannot beat.
+    Primes are sieved on demand: up to N = 10^6 no node looks past 179.
+    """
+    primes = primes_up_to(64)
+    best = 1
+
+    def prime(j: int) -> int:
+        nonlocal primes
+        while j >= len(primes):
+            primes = primes_up_to(2 * primes[-1])
+        return primes[j]
+
+    def walk(i: int, n: int, phi: int) -> None:
+        nonlocal best
+        while phi * (prime(i) - 1) <= N:
+            f, num, j = phi, n * N, i
+            while f * (prime(j) - 1) <= N:
+                f, num, j = f * (prime(j) - 1), num * prime(j), j + 1
+            if num // f <= best:
+                return
+            p = prime(i)
+            m, f = n * p, phi * (p - 1)
+            while f <= N:
+                best = max(best, m)
+                walk(i + 1, m, f)
+                m, f = m * p, f * p
+            i += 1
+
+    walk(0, 1, 1)
+    return best
+
+
 def sweep_cap(N: int) -> int:
     """Largest n with phi(n) <= N: the last modulus a full sweep tests."""
     if N < 1:
         raise InvalidParametersError(f"degree cap must be >= 1, got {N}")
-    return _candidate_moduli(N, None, None)[-1]
+    _guard(N, None, None)
+    return _largest_modulus(N)
 
 
 @lru_cache(maxsize=64)
-def _partner_kernels(k: int) -> tuple[int, ...] | None:
-    """Admissible kernels for k terms, or None when too many to generate from."""
+def _partner_kernels(k: int) -> dict[int, int] | None:
+    """Admissible kernels for k terms as {m: phi(m)} ascending, or None when too many."""
     try:
-        return admissible_kernels(k, _GENERATE_KERNELS).members
+        members = admissible_kernels(k, _GENERATE_KERNELS).members
     except ResourceLimitError:
         return None
+    return {m: totient(m) for m in members}
 
 
 def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequence[int]:
@@ -356,28 +417,38 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
     Exactly the n of the range with n / gcd(n, e_j) admissible and above 1
     for some exponent e_j (see the module docstring), ascending.  Each is
     g * m with g = gcd(n, e_j), so m is prime to e_j / g; g divides n, so it
-    uses only the primes of the range.
+    uses only the primes of the range.  With d = gcd(g, m), m / d is an
+    admissible kernel prime to g, so phi(g * m) = phi(g) * d * phi(m / d)
+    and rad(g * m) = rad(g) * (m / d): the range test needs no range.
     """
-    moduli = _candidate_moduli(poly.N, k, cap)
-    if not poly.exponents or not moduli:
+    N = poly.N
+    _guard(N, k, cap)
+    if not poly.exponents and k is None:
         return ()
-    kernels = _partner_kernels(poly.k)
+    kernels = _partner_kernels(poly.k)  # k = 0 has no pruned range and raises
     if kernels is None:
-        return moduli
-    bound = poly.N + 1 if k is None else k + 1
-    top = moduli[-1]
-    products = set()
+        return _candidate_moduli(N, k, cap)
+    top = _largest_modulus(N) if k is None else _pruned_top(N, k)
+    if cap is not None:
+        top = min(top, cap)
+    bound = N + 1 if k is None else k + 1
+    products = {}
     for e in poly.exponents:
-        for g in smooth_divisors(e, bound):
+        for g, phi_g, rad_g in smooth_divisors(e, bound):
             rest = e // g
             for m in kernels:
                 n = g * m
                 if n > top:
                     break
-                if rest % m:
-                    products.add(n)
-    # n <= top, so bisect_left finds an index inside the range
-    return sorted(n for n in products if moduli[bisect_left(moduli, n)] == n)
+                if rest % m and n not in products:
+                    products[n] = (phi_g, rad_g, m)
+    moduli = []
+    for n, (phi_g, rad_g, m) in products.items():
+        d = gcd(rad_g, m)
+        if phi_g * d * kernels[m // d] <= N and (k is None or rad_g * (m // d) in kernels):
+            moduli.append(n)
+    moduli.sort()
+    return moduli
 
 
 def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):

@@ -41,12 +41,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def smooth_divisors(n: int, bound: int) -> list[int]:
-    """The divisors of n >= 1 whose prime factors are all <= bound."""
-    divs = [1]
+def smooth_divisors(n: int, bound: int) -> list[tuple[int, int, int]]:
+    """(d, phi(d), rad(d)) for the divisors d of n >= 1 with all primes <= bound."""
+    divs = [(1, 1, 1)]
     for p, e in factorize(n):
         if p <= bound:
-            divs = [d * p**i for d in divs for i in range(e + 1)]
+            powers = [(1, 1, 1)] + [(p**i, p ** (i - 1) * (p - 1), p) for i in range(1, e + 1)]
+            divs = [(d * q, f * g, r * s) for d, f, r in divs for q, g, s in powers]
     return divs
 
 

@@ -29,7 +29,7 @@ from lacunary.cyclotomic import (
     _predicted_moduli,
     _vanishes,
 )
-from lacunary.numtheory import factorize, smooth_divisors, squarefree_kernel
+from lacunary.numtheory import factorize, smooth_divisors, squarefree_kernel, totient
 from lacunary.sparsepoly import _Stream
 
 from oracles import cyclotomic_via_mobius, phi_brute, root_sum_zero_numeric
@@ -272,6 +272,21 @@ def test_sweep_cap_shares_the_full_sweep_candidates():
     assert _candidate_moduli(N, None, sweep_cap(N)) is full
 
 
+def test_sweep_cap_by_branch_and_bound_is_the_last_of_the_range():
+    # the range for N is the range for 3000 cut at phi(n) <= N, so one walk
+    # gives the last modulus of every smaller range; some are also walked
+    top = 3000
+    last = [0] * (top + 1)
+    for n in _candidate_moduli(top, None, None):
+        f = totient(n)
+        last[f] = max(last[f], n)
+    for N in range(1, top + 1):
+        last[N] = max(last[N], last[N - 1])
+        assert sweep_cap(N) == last[N], N
+    for N in list(range(1, top + 1, 97)) + [top, 10**5]:
+        assert sweep_cap(N) == _candidate_moduli(N, None, None)[-1], N
+
+
 def test_unknown_sweep_mode_raises():
     F = SparsePoly((1, 2), 2)
     with pytest.raises(InvalidParametersError):
@@ -369,9 +384,13 @@ def _assert_generated_is_exact(F, caps):
 
 
 def test_smooth_divisors():
-    assert smooth_divisors(1, 1) == [1]
-    assert sorted(smooth_divisors(360, 400)) == [d for d in range(1, 361) if 360 % d == 0]
-    assert sorted(smooth_divisors(2 * 9 * 7 * 11, 7)) == [1, 2, 3, 6, 7, 9, 14, 18, 21, 42, 63, 126]
+    assert smooth_divisors(1, 1) == [(1, 1, 1)]
+    divs = sorted(smooth_divisors(360, 400))
+    assert [d for d, _, _ in divs] == [d for d in range(1, 361) if 360 % d == 0]
+    assert all(f == phi_brute(d) and r == squarefree_kernel(d) for d, f, r in divs)
+    divs = sorted(smooth_divisors(2 * 9 * 7 * 11, 7))
+    assert [d for d, _, _ in divs] == [1, 2, 3, 6, 7, 9, 14, 18, 21, 42, 63, 126]
+    assert all(f == phi_brute(d) and r == squarefree_kernel(d) for d, f, r in divs)
 
 
 def test_generated_matches_the_walk_exhaustively():
@@ -439,6 +458,31 @@ def test_many_kernels_fall_back_to_the_walk():
     F = sample_random(130, 400, 67, 0)
     assert _partner_moduli(F, None, None) is _candidate_moduli(F.N, None, None)
     _assert_generated_is_exact(F, (None,))
+
+
+def test_generated_sweeps_build_no_range():
+    # the cache once kept a whole phi(n) <= N range, about 1.94 N ints, per N
+    _candidate_moduli.cache_clear()
+    for i, N in enumerate(range(100_000, 100_006)):
+        find_cyclotomic_factors(sample_random(3 + 2 * i, N, 71, i))
+    assert _candidate_moduli.cache_info().currsize == 0
+
+
+def test_full_sweep_near_the_guard_against_the_closed_form():
+    # 1 + x^a + x^2a + x^3a at N = 3 * 10^6 (5.8 million predicted moduli):
+    # Phi_n divides it exactly when n divides 4a but not a
+    _candidate_moduli.cache_clear()
+    a = 10**6
+    M = 4 * a
+    F = SparsePoly((a, 2 * a, 3 * a), 3 * a)
+    t = time.perf_counter()
+    expect = [n for n in range(2, M + 1) if M % n == 0 and a % n != 0]
+    assert find_cyclotomic_factors(F) == expect
+    members = set(admissible_kernels(3).members)
+    pruned = [n for n in expect if squarefree_kernel(n) in members]
+    assert find_cyclotomic_factors(F, "fs-pruned") == pruned == [128, 256]
+    assert time.perf_counter() - t < 3.0
+    assert _candidate_moduli.cache_info().currsize == 0
 
 
 def test_pruned_guard_prediction_bounds_the_walk():
