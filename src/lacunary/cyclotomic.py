@@ -117,7 +117,7 @@ def _poly_divexact(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # recursion reaches only the divisors of n
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
@@ -423,9 +423,9 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
     """
     N = poly.N
     _guard(N, k, cap)
-    if not poly.exponents and k is None:
-        return ()
-    kernels = _partner_kernels(poly.k)  # k = 0 has no pruned range and raises
+    if not poly.exponents:
+        return ()  # F = 1 has no cyclotomic factor
+    kernels = _partner_kernels(poly.k)
     if kernels is None:
         return _candidate_moduli(N, k, cap)
     top = _largest_modulus(N) if k is None else _pruned_top(N, k)

@@ -16,9 +16,23 @@ construction over the prime-power factors of n:
 
 Every vector produced is a 0,1-vector, so all pairwise inner products are
 non-negative and the far corner of the fundamental mesh realizes the
-longest vector in the mesh.  The Gram determinant is a positive integer,
-computed exactly with fraction-free (Bareiss) elimination; the Gram matrix
-is positive semidefinite, so no pivot search is needed.
+longest vector in the mesh.
+
+The Gram determinant is a positive integer, computed exactly from the same
+recursion.  For n = p^e the supports are disjoint p-sets, so G = p I.
+Otherwise the q shifted copies of the basis for n' = n/q lie in distinct
+residue classes mod q, and l -> n' i + q l is injective mod n, so the
+leading block of G is I_q (x) G' with G' the Gram for n'; this is checked
+before it is used.  With delta = det G', A = adj G' (fraction-free
+Gauss-Jordan, cached per n'), E the Gram of the m products and C_i their
+inner products with copy i, T = delta E - sum_i C_i^T A C_i is delta times
+a Schur complement of G, hence positive definite, and
+det G = delta^q det T / delta^m.  Only det T, an m x m determinant with
+m = (q/p) phi(n'), is taken by fraction-free (Bareiss) elimination, which
+needs no pivot search on a positive definite matrix.  The result equals
+prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)| for every
+n <= 300 (tested); a sublattice of index j would have j^2 times that
+determinant, so for those n the basis spans the whole lattice.
 
 Ball counting is the Fincke-Pohst recursion over the basis coefficients in
 basis order: coefficients are fixed from the last down to the first, and
@@ -117,7 +131,71 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return m[r - 1][r - 1]
 
 
-@lru_cache(maxsize=None)
+def _adjugate(mat) -> tuple[tuple[int, ...], ...]:
+    """delta * mat^-1 for a positive definite integer matrix, delta = det mat.
+
+    Fraction-free Gauss-Jordan on [mat | I] without row swaps: every entry
+    stays a minor of the augmented matrix, so each division by the previous
+    pivot is exact, and at the end the left half is delta * I and the right
+    half is the adjugate.
+    """
+    r = len(mat)
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(r):
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(r):
+            if i != k:
+                cik = m[i][k]
+                m[i] = [(x * pivot - cik * y) // prev for x, y in zip(m[i], row_k)]
+        prev = pivot
+    return tuple(tuple(row[r:]) for row in m)
+
+
+@lru_cache(maxsize=64)
+def _copy_block(n: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
+    """(Gram, its determinant, its adjugate) of the basis for n."""
+    basis = build_basis(n)
+    return basis.gram, basis.gram_det, _adjugate(basis.gram)
+
+
+def _gram_det(n: int, gram: list[list[int]]) -> int:
+    """det gram by the block recursion of the module docstring."""
+    factors = factorize(n)
+    p, e = factors[-1]
+    q = p**e
+    r = len(gram)
+    if len(factors) == 1:
+        if any(gram[i][j] != (p if i == j else 0) for i in range(r) for j in range(r)):
+            raise ArithmeticError(f"Gram for n={n} is not {p} I")
+        return p**r
+    nprime = n // q
+    sub, delta, adj = _copy_block(nprime)
+    rp = len(sub)
+    lead = q * rp
+    for a in range(lead):
+        i, j = divmod(a, rp)
+        row, lo = gram[a], i * rp
+        if tuple(row[lo : lo + rp]) != sub[j] or any(row[:lo]) or any(row[lo + rp : lead]):
+            raise ArithmeticError(f"leading block of the Gram for n={n} is not I_{q} x Gram({nprime})")
+    products = gram[lead:]
+    t = [[delta * x for x in row[lead:]] for row in products]
+    for lo in range(0, lead, rp):
+        # the columns of C_i that meet copy i; the rest contribute nothing
+        cols = [(j, c) for j, row in enumerate(products) if any(c := row[lo : lo + rp])]
+        ys = [(j, [sum(a * x for a, x in zip(arow, c) if x) for arow in adj]) for j, c in cols]
+        for j1, c in cols:
+            t_row = t[j1]
+            for j2, y in ys:
+                t_row[j2] -= sum(x * v for x, v in zip(c, y) if x)
+    det, remainder = divmod(delta**q * _bareiss_det(t), delta ** len(t))
+    if remainder:
+        raise ArithmeticError(f"Schur complement determinant for n={n} is not an integer")
+    return det
+
+
+@lru_cache(maxsize=64)
 def build_basis(n: int) -> RelationBasis:
     """Construct the recursive basis with exact Gram data for modulus n >= 2."""
     if n < 2:
@@ -136,7 +214,7 @@ def build_basis(n: int) -> RelationBasis:
         for j in range(i + 1, rank):
             g = len(sets[i] & sets[j])
             gram[i][j] = gram[j][i] = g
-    det = _bareiss_det(gram)
+    det = _gram_det(n, gram)
     if det <= 0:
         raise InvalidParametersError(f"degenerate basis for n={n}")
     vectors = []

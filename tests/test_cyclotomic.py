@@ -322,6 +322,13 @@ def test_has_factor_examples():
     assert has_cyclotomic_factor(SparsePoly((2, 4), 4))
 
 
+def test_constant_polynomial_has_no_factor_in_either_mode():
+    F = SparsePoly((), 5)  # F = 1
+    for mode in ("full-sweep", "fs-pruned"):
+        assert find_cyclotomic_factors(F, mode) == []
+        assert not has_cyclotomic_factor(F, mode)
+
+
 def test_factors_are_genuine_divisors():
     stream = _Stream(23, 0)
     for i in range(60):

@@ -17,8 +17,8 @@ from lacunary import (
     volume_count_bound,
 )
 from lacunary.cyclotomic import _cyclotomic_coeffs, _poly_mod
-from lacunary.lattice import _bareiss_det
-from lacunary.numtheory import omega, totient
+from lacunary.lattice import _adjugate, _bareiss_det, _copy_block, _gram_det
+from lacunary.numtheory import factorize, omega, totient
 
 
 def dense_kills_cyclotomic(vector, n):
@@ -143,6 +143,54 @@ def test_bareiss_det_matches_fraction_determinant_on_random_grams():
         vectors = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(r)]
         g = gram_of(vectors)
         assert _bareiss_det(g) == fraction_det(g)
+
+
+def test_gram_det_equals_bareiss_of_the_whole_gram():
+    # Bareiss on the whole rank x rank Gram is the reference for the block recursion
+    for n in list(range(2, 121)) + [210, 240, 288, 300]:
+        b = build_basis(n)
+        assert _bareiss_det([list(row) for row in b.gram]) == b.gram_det, n
+
+
+def test_gram_det_closed_form_certifies_the_basis():
+    # prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)| is the determinant
+    # of the whole lattice of vanishing sums; a sublattice of index j has j^2 times it
+    for n in range(2, 301):
+        phi = totient(n)
+        expected = 1
+        for p, _ in factorize(n):
+            expected *= p ** (phi // (p - 1))
+        assert build_basis(n).gram_det == expected, n
+
+
+def test_adjugate_matches_fraction_inverse_on_random_grams():
+    rng = random.Random(13)
+    for _ in range(40):
+        r = rng.randint(1, 7)
+        vectors = [[rng.randint(-3, 3) for _ in range(r + 2)] for _ in range(r)]
+        g = gram_of(vectors)
+        det = fraction_det(g)
+        if det == 0:
+            continue
+        adj = _adjugate(g)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in g]
+        assert product == [[det * (i == j) for j in range(r)] for i in range(r)]
+
+
+def test_gram_det_rejects_a_gram_without_the_block_structure():
+    # n = 9: G = 3 I.  n = 12 = 3 * 4: rows 0-1 and 2-3 are two copies of the rank 2
+    # basis for 4, with disjoint supports.  A shared point breaks either structure.
+    for n, (i, j) in ((9, (0, 1)), (12, (0, 2))):
+        gram = [list(row) for row in build_basis(n).gram]
+        assert _gram_det(n, gram) == build_basis(n).gram_det
+        gram[i][j] = gram[j][i] = 1
+        with pytest.raises(ArithmeticError):
+            _gram_det(n, gram)
+
+
+def test_lattice_caches_are_bounded():
+    for cached in (build_basis, _copy_block, _cyclotomic_coeffs):
+        assert cached.cache_info().maxsize is not None, cached
 
 
 # --- mesh length -------------------------------------------------------------------
