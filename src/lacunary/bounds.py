@@ -202,6 +202,13 @@ def small_n_exact(k: int, n: int, convention: str = "shifted", asymptotic: bool 
     return multinomial_weight(c, k, n)
 
 
+def ball_volume_log(dim: int, radius: float) -> float:
+    """log of the volume of a dim-dimensional Euclidean ball; -inf at radius <= 0."""
+    if radius <= 0:
+        return float("-inf")
+    return dim * log(radius) + 0.5 * dim * log(pi) - lgamma(0.5 * dim + 1)
+
+
 def lattice_ball_bound(k: int, n: int) -> float:
     """Central atom times the lattice-point count of the concentration ball.
 
@@ -216,9 +223,7 @@ def _lattice_ball_raw(k: int, n: int) -> float:
     if k < 2:
         raise InvalidParametersError(f"need k >= 2, got {k}")
     rank = n - totient(n)
-    log_atom = _log_central_atom(k, n)
-    log_ball = rank * log(2.1 * sqrt(k) * log(k)) + 0.5 * rank * log(pi) - lgamma(0.5 * rank + 1)
-    v = log_atom + log_ball
+    v = _log_central_atom(k, n) + ball_volume_log(rank, 2.1 * sqrt(k) * log(k))
     return exp(v) if v < 700 else float("inf")
 
 

@@ -113,7 +113,7 @@ def _run_test(args, out) -> None:
 
 def _run_factors(args, out) -> None:
     exps = tuple(args.exponents)
-    cap = args.N if args.N is not None else (exps[-1] if exps else 1)
+    cap = args.N if args.N is not None else exps[-1]
     poly = SparsePoly(exps, cap)
     record = _detection_record(poly, args.mode, args.cap_override)
     out.write(json.dumps(record) + "\n")

@@ -45,7 +45,6 @@ tests them in ascending order, so factor lists and early exits are those
 of the whole range.
 """
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -328,11 +327,6 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
     _GENERATE_KERNELS admissible kernels, so the cache holds few ranges.
     """
     _guard(N, k, cap)
-    if cap is not None and cap >= 2 * N:
-        # a cap of 2N or more predicts no fewer moduli than no cap, so trim the
-        # shared uncapped tuple rather than cache a second copy of it
-        full = _candidate_moduli(N, k, None)
-        return full if cap >= full[-1] else full[: bisect_right(full, cap)]
     top = inf if cap is None else cap
     members = None if k is None else set(admissible_kernels(k).members)
     primes = primes_up_to(min(N + 1, top) if k is None else min(N + 1, top, k + 1))

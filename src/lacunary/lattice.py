@@ -2,17 +2,20 @@
 
 The integer combinations of n-th roots of unity that evaluate to zero form
 a lattice of rank n - phi(n) inside Z^n (coordinates indexed by the powers
-of a fixed primitive root).  The basis built here follows the recursive
-construction over the prime-power factors of n:
+of a fixed primitive root).  build_basis is its only recursion.  It peels
+off the largest prime p of n with its full power q, n = q n', and takes
 
-* for n = p^e the basis consists of the p^{e-1} shifted copies of
-  1 + zeta^{p^{e-1}} + zeta^{2 p^{e-1}} + ... + zeta^{(p-1) p^{e-1}},
-  whose supports are disjoint;
+* q copies of the cached basis for n': its image under zeta_{n'} -> zeta_n^q
+  times zeta_n^{n' i} for i < q, with supports (n' i + q l) mod n;
 
-* for composite n, peel off the largest prime p_j with its full power q.
-  Take all q root-of-unity multiples of the basis for n/q, together with
-  the products of the power integral basis of the subfield of (n/q)-th
-  roots of unity with the p_j-analogue of the prime-power basis above.
+* the products zeta_{n'}^t zeta_q^s (1 + zeta_p + ... + zeta_p^{p-1}) for
+  t < phi(n') and s < q/p, with supports {(q t + (s + j q/p) n') mod n : j < p};
+  for n = p^e (n' = 1) they are the whole basis.
+
+Only the products are checked with root_power_sum_is_zero: a copy is a root
+of unity times the image of a relation for n', checked when that basis was
+built, under a ring map, so it is a relation too.  A basis with more than
+10^7 vector and Gram entries (rank * n + rank^2) is refused before it is built.
 
 Every vector produced is a 0,1-vector, so all pairwise inner products are
 non-negative and the far corner of the fundamental mesh realizes the
@@ -46,8 +49,9 @@ differ by far more than the slack.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, floor, lgamma, log, pi, sqrt
+from math import ceil, exp, floor, log, sqrt
 
+from .bounds import ball_volume_log
 from .errors import InvalidParametersError, ResourceLimitError
 from .numtheory import factorize, totient
 from .cyclotomic import root_power_sum_is_zero
@@ -83,28 +87,11 @@ class BallQuery:
             raise InvalidParametersError("center must have length n")
 
 
-def _basis_supports(n: int) -> list[tuple[int, ...]]:
-    factors = factorize(n)
-    p, e = factors[-1]
+def _peel_largest_prime(n: int) -> tuple[int, int, int]:
+    """(p, q, n') with p the largest prime of n, q its full power and n = q n'."""
+    p, e = factorize(n)[-1]
     q = p**e
-    step = q // p
-    if len(factors) == 1:
-        return [tuple(i + t * step for t in range(p)) for i in range(step)]
-    nprime = n // q
-    prev = _basis_supports(nprime)
-    # zeta_{n/q} = zeta_n^q and zeta_q = zeta_n^{n/q} fix the CRT embedding
-    out = [
-        tuple(sorted((nprime * i + q * l) % n for l in y))
-        for i in range(q)
-        for y in prev
-    ]
-    block = [tuple((i + t * step) * nprime % n for t in range(p)) for i in range(step)]
-    out.extend(
-        tuple(sorted((q * t + s) % n for s in w))
-        for t in range(totient(nprime))
-        for w in block
-    )
-    return out
+    return p, q, n // q
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -162,15 +149,12 @@ def _copy_block(n: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[i
 
 def _gram_det(n: int, gram: list[list[int]]) -> int:
     """det gram by the block recursion of the module docstring."""
-    factors = factorize(n)
-    p, e = factors[-1]
-    q = p**e
+    p, q, nprime = _peel_largest_prime(n)
     r = len(gram)
-    if len(factors) == 1:
+    if nprime == 1:
         if any(gram[i][j] != (p if i == j else 0) for i in range(r) for j in range(r)):
             raise ArithmeticError(f"Gram for n={n} is not {p} I")
         return p**r
-    nprime = n // q
     sub, delta, adj = _copy_block(nprime)
     rp = len(sub)
     lead = q * rp
@@ -197,16 +181,32 @@ def _gram_det(n: int, gram: list[list[int]]) -> int:
 
 @lru_cache(maxsize=64)
 def build_basis(n: int) -> RelationBasis:
-    """Construct the recursive basis with exact Gram data for modulus n >= 2."""
+    """Construct the recursive basis with exact Gram data for modulus n >= 2.
+
+    Refuses (resource-limit) when rank * n + rank^2 exceeds 10^7 entries.
+    """
     if n < 2:
         raise InvalidParametersError(f"modulus must be >= 2, got {n}")
-    supports = _basis_supports(n)
     rank = n - totient(n)
+    if (work := rank * n + rank * rank) > _WORK_GUARD:
+        raise ResourceLimitError(f"basis for n={n} needs {work:.3g} entries, guard {_WORK_GUARD:g}")
+    p, q, nprime = _peel_largest_prime(n)
+    # zeta_{n'} = zeta_n^q and zeta_q = zeta_n^{n'} fix the CRT embedding
+    smaller = build_basis(nprime).vectors if nprime > 1 else ()
+    prev = [[l for l, x in enumerate(v) if x] for v in smaller]
+    supports = [tuple(sorted((nprime * i + q * l) % n for l in y)) for i in range(q) for y in prev]
+    step = q // p
+    products = [
+        tuple(sorted((q * t + (s + j * step) * nprime) % n for j in range(p)))
+        for t in range(totient(nprime))
+        for s in range(step)
+    ]
+    for y in products:
+        if not root_power_sum_is_zero(y, n):
+            raise ArithmeticError(f"non-relation vector for n={n}")
+    supports += products
     if len(supports) != rank:
         raise ArithmeticError(f"basis for n={n} has {len(supports)} vectors, rank is {rank}")
-    for s in supports:
-        if not root_power_sum_is_zero(s, n):
-            raise ArithmeticError(f"non-relation vector for n={n}")
     sets = [frozenset(s) for s in supports]
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
@@ -245,12 +245,6 @@ def mesh_max_length(basis: RelationBasis) -> float:
     return sqrt(sum(x * x for x in s))
 
 
-def _ball_volume_log(dim: int, radius: float) -> float:
-    if radius <= 0:
-        return float("-inf")
-    return dim * log(radius) + 0.5 * dim * log(pi) - lgamma(0.5 * dim + 1)
-
-
 def volume_count_bound(basis: RelationBasis, radius: float) -> float:
     """Mesh-adjoining bound on the number of lattice points in a ball.
 
@@ -261,7 +255,7 @@ def volume_count_bound(basis: RelationBasis, radius: float) -> float:
         raise InvalidParametersError(f"radius must be >= 0, got {radius}")
     r = basis.rank
     inflated = radius + mesh_max_length(basis)
-    return exp(_ball_volume_log(r, inflated) - 0.5 * log(basis.gram_det))
+    return exp(ball_volume_log(r, inflated) - 0.5 * log(basis.gram_det))
 
 
 def _homogeneous_ldl(basis: RelationBasis, center, anchor):
@@ -307,7 +301,7 @@ def _predicted_nodes(d, radius_sq: float) -> float:
     logprod = 0.0
     for m in range(1, r):
         logprod += 0.5 * log(d[r - m])
-        work += exp(_ball_volume_log(m, rad) - logprod) if rad > 0 else 1.0
+        work += exp(ball_volume_log(m, rad) - logprod) if rad > 0 else 1.0
     return work
 
 

@@ -69,7 +69,8 @@ def _divexact(a, b):
         q[i] = c
         for j, y in enumerate(b):
             a[i + j] -= c * y
-    assert all(x == 0 for x in a)
+    if any(a):  # a raise, not an assert, so the oracle still checks under python -O
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 

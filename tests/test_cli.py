@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 
 from lacunary import total_bound
@@ -79,6 +80,15 @@ def test_basis_command(capsys):
     rec = json.loads(out)
     assert rec["rank"] == 2
     assert rec["vectors"] == [[1, 0, 1, 0], [0, 1, 0, 1]]
+
+
+def test_basis_work_guard_exit_code(capsys):
+    # rank 24,270 at n = 30030: the basis and Gram would need about 10^9 entries
+    start = time.perf_counter()
+    code, out, err = run_cli(["basis", "--n", "30030"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_candidates_command(capsys):

@@ -266,12 +266,6 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
             assert _candidate_moduli(N, k, None) == expect, (k, N)
 
 
-def test_sweep_cap_shares_the_full_sweep_candidates():
-    N = 500
-    full = _candidate_moduli(N, None, None)
-    assert _candidate_moduli(N, None, sweep_cap(N)) is full
-
-
 def test_sweep_cap_by_branch_and_bound_is_the_last_of_the_range():
     # the range for N is the range for 3000 cut at phi(n) <= N, so one walk
     # gives the last modulus of every smaller range; some are also walked

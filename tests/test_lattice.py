@@ -16,6 +16,7 @@ from lacunary import (
     mesh_max_length,
     volume_count_bound,
 )
+from lacunary import lattice
 from lacunary.cyclotomic import _cyclotomic_coeffs, _poly_mod
 from lacunary.lattice import _adjugate, _bareiss_det, _copy_block, _gram_det
 from lacunary.numtheory import factorize, omega, totient
@@ -186,6 +187,49 @@ def test_gram_det_rejects_a_gram_without_the_block_structure():
         gram[i][j] = gram[j][i] = 1
         with pytest.raises(ArithmeticError):
             _gram_det(n, gram)
+
+
+def _supports(basis):
+    return [tuple(l for l, x in enumerate(v) if x) for v in basis.vectors]
+
+
+def test_copies_are_the_images_of_the_smaller_basis():
+    # zeta_{n'} -> zeta_n^q times zeta_n^{n' i} maps a relation for n' to one for n
+    for n in range(2, 301):
+        factors = factorize(n)
+        if len(factors) == 1:
+            continue
+        p, e = factors[-1]
+        q = p**e
+        nprime = n // q
+        images = [
+            tuple(sorted((nprime * i + q * l) % n for l in y))
+            for i in range(q)
+            for y in _supports(build_basis(nprime))
+        ]
+        assert _supports(build_basis(n))[: len(images)] == images, n
+
+
+def test_only_product_supports_are_proved(monkeypatch):
+    # a cold build proves, at each level m = q m' of its peel, the last
+    # rank(m) - q rank(m') supports and none of the copies
+    proved = []
+    monkeypatch.setattr(
+        lattice, "root_power_sum_is_zero", lambda s, m: proved.append((m, tuple(s))) or True
+    )
+    for n in list(range(2, 61)) + [210, 288, 300]:
+        build_basis.cache_clear()
+        _copy_block.cache_clear()
+        proved.clear()
+        build_basis(n)
+        expected, m = [], n
+        while m > 1:
+            p, e = factorize(m)[-1]
+            mprime = m // p**e
+            copies = p**e * (mprime - totient(mprime))
+            expected += [(m, s) for s in _supports(build_basis(m))[copies:]]
+            m = mprime
+        assert sorted(proved) == sorted(expected), n
 
 
 def test_lattice_caches_are_bounded():
