@@ -17,7 +17,9 @@ of unity times the image of a relation for n', checked when that basis was
 built, under a ring map, so it is a relation too.  A basis with more than
 10^7 vector and Gram entries (rank * n + rank^2) is refused before it is built.
 
-Every vector produced is a 0,1-vector, so all pairwise inner products are
+Every vector produced is a 0,1-vector, so the Gram entry of two supports is
+the number of residues they share, counted from a residue-to-support index
+that touches only the pairs that share one; all pairwise inner products are
 non-negative and the far corner of the fundamental mesh realizes the
 longest vector in the mesh.
 
@@ -38,12 +40,15 @@ n <= 300 (tested); a sublattice of index j would have j^2 times that
 determinant, so for those n the basis spans the whole lattice.
 
 Ball counting is the Fincke-Pohst recursion over the basis coefficients in
-basis order: coefficients are fixed from the last down to the first, and
-the first one's admissible interval is counted in closed form.  Interval
-bounds come from one homogenized LDL decomposition evaluated in floating
-point with a small slack toward inclusion, which is decisive for the
-rational centers used here because distinct achievable squared distances
-differ by far more than the slack.
+basis order: coefficients are fixed from the last down to the first.  The
+offset of coefficient i - 1's interval is linear in t[i..r-1]; a node at
+level i sums the part that t[i+1..] fixes once, so each child adds one
+product for its own t[i].  The level-1 loop counts the first coefficient's
+admissible interval in closed form inline, with no call per level-0 node.
+Interval bounds come from one homogenized LDL decomposition evaluated in
+floating point with a small slack toward inclusion, which is decisive for
+the rational centers used here because distinct achievable squared
+distances differ by far more than the slack.
 """
 
 from dataclasses import dataclass
@@ -207,16 +212,20 @@ def build_basis(n: int) -> RelationBasis:
     supports += products
     if len(supports) != rank:
         raise ArithmeticError(f"basis for n={n} has {len(supports)} vectors, rank is {rank}")
-    sets = [frozenset(s) for s in supports]
+    # each point shared by supports i and j adds 1 to gram[i][j]; most pairs share none
+    holders = [[] for _ in range(n)]
+    for i, s in enumerate(supports):
+        for l in s:
+            holders[l].append(i)
     gram = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        gram[i][i] = len(sets[i])
-        for j in range(i + 1, rank):
-            g = len(sets[i] & sets[j])
-            gram[i][j] = gram[j][i] = g
+    for h in holders:
+        for i in h:
+            row = gram[i]
+            for j in h:
+                row[j] += 1
     det = _gram_det(n, gram)
     if det <= 0:
-        raise InvalidParametersError(f"degenerate basis for n={n}")
+        raise ArithmeticError(f"degenerate basis for n={n}")
     vectors = []
     for s in supports:
         row = [0] * n
@@ -333,27 +342,40 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
         return 1
     t = [0] * r
 
-    def count(i: int, rem: float) -> int:
-        """Points with t[i+1..r-1] fixed; rem is the squared radius left."""
-        li = lmat[i]
-        off = li[r]
-        for j in range(i + 1, r):
-            off += li[j] * t[j]
-        width = sqrt(max(rem + _SLACK, 0.0) / d[i])
+    def count(i: int, off: float, rem: float) -> int:
+        """Points with t[i+1..r-1] fixed; off is level i's offset, rem the squared radius left."""
+        width = sqrt((rem + _SLACK) / d[i])
         lo = ceil(-off - width)
         hi = floor(-off + width)
-        if i == 0:
-            return max(hi - lo + 1, 0)
+        if i == 0:  # rank 1; rem >= -_SLACK, so the count is never negative
+            return hi - lo + 1
+        # the part of level i-1's offset that t[i+1..] fixes; each child adds step * t[i]
+        below = lmat[i - 1]
+        base = below[r]
+        for j in range(i + 1, r):
+            base += below[j] * t[j]
+        step = below[i]
+        di = d[i]
         total = 0
+        if i == 1:
+            d0 = d[0]
+            for x in range(lo, hi + 1):
+                y = x + off
+                left = rem - di * y * y
+                if left >= -_SLACK:
+                    o = base + step * x
+                    w = sqrt((left + _SLACK) / d0)
+                    total += floor(w - o) - ceil(-w - o) + 1
+            return total
         for x in range(lo, hi + 1):
             y = x + off
-            left = rem - d[i] * y * y
+            left = rem - di * y * y
             if left >= -_SLACK:
                 t[i] = x
-                total += count(i - 1, left)
+                total += count(i - 1, base + step * x, left)
         return total
 
-    return count(r - 1, rem0)
+    return count(r - 1, lmat[r - 1][r], rem0)
 
 
 def basis_to_json(basis: RelationBasis) -> dict:

@@ -1,8 +1,9 @@
 """Relation-lattice basis geometry and exact ball counting."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
-from math import gamma, pi, sqrt
+from math import ceil, floor, gamma, isqrt, lcm, pi, sqrt
 
 import pytest
 
@@ -27,26 +28,52 @@ def dense_kills_cyclotomic(vector, n):
     return all(c == 0 for c in rem)
 
 
-def brute_count(basis, center, radius, anchor):
-    """Direct box enumeration for rank <= 3, exact rational comparisons."""
-    r = basis.rank
-    assert r <= 3
-    span = int(radius / min(sqrt(g[i]) for i, g in enumerate(basis.gram))) + 2
-    pts = 0
-    rad2 = Fraction(radius) ** 2
-    ranges = [range(-span, span + 1)] * r
-    import itertools
+def fraction_inverse(mat):
+    """Inverse of a nonsingular integer matrix by Gauss-Jordan over the rationals."""
+    r = len(mat)
+    m = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(r)]
+         for i, row in enumerate(mat)]
+    for k in range(r):
+        piv = next(i for i in range(k, r) if m[i][k])
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(r):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return [row[r:] for row in m]
 
-    for t in itertools.product(*ranges):
-        coords = list(anchor)
-        for ti, v in zip(t, basis.vectors):
-            if ti:
-                for l, x in enumerate(v):
-                    coords[l] += ti * x
-        d2 = sum((Fraction(c) - Fraction(z)) ** 2 for c, z in zip(coords, center))
-        if d2 <= rad2:
-            pts += 1
-    return pts
+
+def box_count(basis, center, radius_sq, anchor):
+    """Points of anchor + lattice with |x - center|^2 <= radius_sq, by a box scan.
+
+    t - t* = G^-1 B (x - center) with t* = G^-1 B (center - anchor), so
+    |t_i - t*_i| <= sqrt((G^-1)_ii) * radius bounds the box.  Coordinates are
+    scaled by D, the common denominator of the center and radius_sq, and
+    radius_sq by D^2, so every distance test compares integers.
+    """
+    center = [Fraction(c) for c in center]
+    radius_sq = Fraction(radius_sq)
+    ginv = fraction_inverse(basis.gram)
+    proj = [sum(c - a for c, a, x in zip(center, anchor, v) if x) for v in basis.vectors]
+    tstar = [sum(g * w for g, w in zip(row, proj)) for row in ginv]
+    boxes = []
+    for i, ti in enumerate(tstar):
+        s = isqrt(ceil(ginv[i][i] * radius_sq)) + 1
+        box = range(floor(ti) - s, ceil(ti) + s + 1)
+        boxes.append([x for x in box if (x - ti) ** 2 <= ginv[i][i] * radius_sq])
+    den = lcm(radius_sq.denominator, *(c.denominator for c in center))
+    start = [den * a - int(den * c) for a, c in zip(anchor, center)]
+    scaled = [[den * x for x in v] for v in basis.vectors]
+    limit = int(den * den * radius_sq)
+
+    def scan(i, coords):
+        if i == len(scaled):
+            return int(sum(y * y for y in coords) <= limit)
+        v = scaled[i]
+        return sum(scan(i + 1, [y + ti * x for y, x in zip(coords, v)]) for ti in boxes[i])
+
+    return scan(0, start)
 
 
 # --- construction ----------------------------------------------------------------
@@ -283,14 +310,69 @@ def test_count_matches_brute_force_off_center():
     for anchor in [(0, 0, 0, 0), (1, 0, 1, 0), (2, 1, 0, 0)]:
         for radius in (0, 1, 3, 6):
             q = BallQuery(center=center, radius=radius, n=4)
-            assert enumerate_ball(b, q, anchor) == brute_count(b, center, radius, anchor)
+            assert enumerate_ball(b, q, anchor) == box_count(b, center, radius**2, anchor)
 
 
 def test_count_matches_brute_force_rank3():
     b = build_basis(9)
     center = (Fraction(1, 3),) * 9
     q = BallQuery(center=center, radius=5, n=9)
-    assert enumerate_ball(b, q, (0,) * 9) == brute_count(b, center, 5, (0,) * 9)
+    assert enumerate_ball(b, q, (0,) * 9) == box_count(b, center, 25, (0,) * 9)
+
+
+def lattice_point(basis, anchor, t):
+    return [a + sum(ti * v[l] for ti, v in zip(t, basis.vectors)) for l, a in enumerate(anchor)]
+
+
+def test_count_matches_box_scan_off_center_above_rank3():
+    # ranks 4, 4 and 6: seeded rational centers near anchor + lattice, nonzero
+    # anchors, and radii whose square is the distance to a lattice point.  Every
+    # basis built has b_0 . b_1 = 0; the same lattice in reverse order has not.
+    rng = random.Random(17)
+    for n in (6, 8, 10):
+        b = build_basis(n)
+        reversed_b = replace(b, vectors=b.vectors[::-1], gram=tuple(r[::-1] for r in b.gram[::-1]))
+        assert reversed_b.gram[0][1] or n == 8
+        for _ in range(4):
+            anchor = [rng.randint(-2, 2) for _ in range(n)]
+            s = [rng.randint(-2, 2) for _ in range(b.rank)]
+            near = lattice_point(b, anchor, s)
+            center = [x + Fraction(rng.randint(-1, 1), rng.randint(2, 4)) for x in near]
+            on_sphere = []
+            for _ in range(3):
+                point = lattice_point(b, anchor, [si + rng.randint(-1, 1) for si in s])
+                on_sphere.append(sum((x - c) ** 2 for x, c in zip(point, center)))
+            for radius_sq in [0, 1, 3, 5] + [d for d in on_sphere if d <= 8]:
+                q = BallQuery(center=center, radius=sqrt(radius_sq), n=n)
+                expected = box_count(b, center, radius_sq, anchor)
+                for basis in (b, reversed_b):
+                    assert enumerate_ball(basis, q, anchor) == expected, (n, anchor, radius_sq)
+
+
+# (n, radius) -> exact count at the origin; acceptance 6 minus its three costly cells
+ORIGIN_COUNTS = {
+    (4, 5): 37,
+    (4, 10): 161,
+    (4, 20): 633,
+    (6, 5): 859,
+    (6, 10): 14435,
+    (6, 20): 228337,
+    (8, 5): 761,
+    (8, 10): 12577,
+    (8, 20): 197793,
+    (9, 5): 93,
+    (9, 10): 799,
+    (9, 20): 6451,
+    (10, 5): 10281,
+    (10, 10): 576729,
+    (12, 5): 137577,
+}
+
+
+def test_origin_counts_are_pinned():
+    for (n, radius), expected in ORIGIN_COUNTS.items():
+        q = BallQuery(center=(0,) * n, radius=radius, n=n)
+        assert enumerate_ball(build_basis(n), q, (0,) * n) == expected, (n, radius)
 
 
 def test_enumeration_guard():
