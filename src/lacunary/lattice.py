@@ -39,22 +39,33 @@ prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)| for every
 n <= 300 (tested); a sublattice of index j would have j^2 times that
 determinant, so for those n the basis spans the whole lattice.
 
-Ball counting is the Fincke-Pohst recursion over the basis coefficients in
-basis order: coefficients are fixed from the last down to the first.  The
-offset of coefficient i - 1's interval is linear in t[i..r-1]; a node at
-level i sums the part that t[i+1..] fixes once, so each child adds one
-product for its own t[i].  The level-1 loop counts the first coefficient's
-admissible interval in closed form inline, with no call per level-0 node.
-Interval bounds come from one homogenized LDL decomposition evaluated in
-floating point with a small slack toward inclusion, which is decisive for
-the rational centers used here because distinct achievable squared
-distances differ by far more than the slack.
+Ball counting is exact in integers.  Scaled by D, the common denominator of
+the center, every D^2 |anchor + B^T t - center|^2 is an integer, and a point
+counts when it is at most M = floor(D^2 (radius^2 + slack)).  The count is the
+total of a norm distribution {norm: count} keyed by the norms reached.  Vectors
+with disjoint supports contribute independently, so the distribution of a set
+of vectors is the convolution, truncated at M, of those of its classes linked
+by shared coordinates (the theta series of an orthogonal sum is the product of
+the parts' series); a single vector's is a one-dimensional walk.  Within one
+linked class the residue structure above says what to enumerate: at depth j of
+the peel chain n, n', ..., with q the prime power peeled there, the separators
+are the vectors that meet more than one residue class mod q (that level's
+products), while each copy lies in one class.  Once the separators'
+coefficients are fixed the shift is exact, and the rest splits into copies
+counted at depth j + 1.  Only separator coefficients are enumerated, by
+Fincke-Pohst on a homogenized float LDL with the separators as its top levels;
+floats only prune, with a slack toward inclusion, and every norm kept is exact.
+Nothing depends on the basis order, and in a basis without this structure,
+such as a unimodular mix of this one, every vector is a separator.  The
+anchor is first moved by the lattice point nearest the real minimizer, so the
+floats work near the center.  The 10^7 guard still predicts per-point
+Fincke-Pohst nodes from the LDL of the whole basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, floor, log, sqrt
+from math import ceil, exp, floor, isfinite, lcm, log, sqrt
 
 from .bounds import ball_volume_log
 from .errors import InvalidParametersError, ResourceLimitError
@@ -86,6 +97,8 @@ class BallQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(Fraction(c) for c in self.center))
+        if not isfinite(self.radius):
+            raise InvalidParametersError(f"radius must be finite, got {self.radius}")
         if self.radius < 0:
             raise InvalidParametersError(f"radius must be >= 0, got {self.radius}")
         if len(self.center) != self.n:
@@ -267,24 +280,15 @@ def volume_count_bound(basis: RelationBasis, radius: float) -> float:
     return exp(ball_volume_log(r, inflated) - 0.5 * log(basis.gram_det))
 
 
-def _homogeneous_ldl(basis: RelationBasis, center, anchor):
-    """Float LDL of the homogenized quadratic |anchor + B^T t - center|^2.
+def _homogeneous_ldl(gram, w, s0):
+    """Float LDL of the homogenized quadratic t^T gram t + 2 w.t + s0.
 
-    The linear data (projections of anchor - center on the basis) is built
-    exactly in rationals, then converted once to float.
+    The data is exact (integer or rational) and converted once to float.  The
+    homogenizing coordinate is last, so d[-1] is the minimum over real t.
     """
-    r = basis.rank
-    z = [Fraction(a) - c for a, c in zip(anchor, center)]
-    w = []
-    for v in basis.vectors:
-        w.append(sum(zi for zi, x in zip(z, v) if x))
-    s0 = sum(zi * zi for zi in z)
-    a = [[0.0] * (r + 1) for _ in range(r + 1)]
-    for i in range(r):
-        for j in range(r):
-            a[i][j] = float(basis.gram[i][j])
-        a[i][r] = a[r][i] = float(w[i])
-    a[r][r] = float(s0)
+    r = len(gram)
+    a = [[float(x) for x in row] + [float(wi)] for row, wi in zip(gram, w)]
+    a.append([float(wi) for wi in w] + [float(s0)])
     d = [0.0] * (r + 1)
     lmat = [[0.0] * (r + 1) for _ in range(r + 1)]
     for i in range(r + 1):
@@ -314,6 +318,129 @@ def _predicted_nodes(d, radius_sq: float) -> float:
     return work
 
 
+def _components(group, supports) -> list[list[int]]:
+    """The classes of group linked by shared coordinates, in group order."""
+    root = {i: i for i in group}
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    owner = {}
+    for i in group:
+        for l, _ in supports[i]:
+            root[find(owner.setdefault(l, i))] = find(i)
+    classes = {}
+    for i in group:
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+def _convolve(a: dict, b: dict, cap: int) -> dict:
+    """Norm counts of independent sums, truncated at cap."""
+    out = {}
+    items = sorted(b.items())
+    for va, ca in a.items():
+        room = cap - va
+        for vb, cb in items:
+            if vb > room:
+                break
+            out[va + vb] = out.get(va + vb, 0) + ca * cb
+    return out
+
+
+def _line_counts(support, y, scale: int, cap: int) -> dict:
+    """{norm: count} of sum_l (y_l + scale x_l t)^2 over integers t, norms <= cap.
+
+    The norm is a convex quadratic in t, so the admissible t form an interval
+    that contains floor or ceil of the real minimizer; walk out from there.
+    """
+    a = scale * scale * sum(x * x for _, x in support)
+    b = 2 * scale * sum(y[l] * x for l, x in support)
+    c = sum(y[l] * y[l] for l, _ in support)
+    out = {}
+    t0 = -b // (2 * a)
+    for t, step in ((t0, -1), (t0 + 1, 1)):
+        while (v := (a * t + b) * t + c) <= cap:
+            out[v] = out.get(v, 0) + 1
+            t += step
+    return out
+
+
+def _norm_counts(group, y, cap: int, depth: int, geometry) -> dict:
+    """{norm: count} over t in Z^group of |y + scale B^T t|^2 on the group's coordinates.
+
+    group is linked by shared coordinates.  Its separators are the vectors
+    that meet more than one residue class mod the q of the peel chain at the
+    first depth from depth on where there are any.  Their coefficients are
+    enumerated with the float LDL, separators last, pruning with a slack
+    toward inclusion; at each separator node the shift is exact and the
+    remaining vectors split into groups counted independently at the next
+    depth and convolved.
+    """
+    supports, gram, scale, chain = geometry
+    if len(group) == 1:
+        return _line_counts(supports[group[0]], y, scale, cap)
+    # some depth has one: a vector in one class mod every q of the chain is a
+    # single coordinate, and two linked such vectors would be parallel
+    while not (seps := [i for i in group if len({l % chain[depth] for l, _ in supports[i]}) > 1]):
+        depth += 1
+    rest = [i for i in group if i not in seps]
+    order = rest + seps
+    m, k = len(order), len(rest)
+    w = [scale * sum(y[l] * x for l, x in supports[i]) for i in order]
+    covered = {l for i in group for l, _ in supports[i]}
+    s0 = sum(y[l] * y[l] for l in covered)
+    d, lmat = _homogeneous_ldl([[scale * scale * gram[i][j] for j in order] for i in order], w, s0)
+    slack = _SLACK * (1 + cap + s0)  # float error grows with the magnitudes in the LDL
+    parts = _components(rest, supports)
+    alone = covered.difference(l for i in rest for l, _ in supports[i])
+    t = [0] * m
+    out = {}
+
+    def node(i: int, off: float, rem: float) -> None:
+        """Separator nodes with t[i+1..m-1] fixed; off is level i's offset, rem the budget left."""
+        width = sqrt((rem + slack) / d[i])
+        xs = range(ceil(-off - width), floor(-off + width) + 1)
+        if i == k:  # the last separator: from here on every shift is exact
+            for x in xs:
+                if rem - d[i] * (x + off) ** 2 >= -slack:
+                    t[i] = x
+                    shift = list(y)
+                    for s, ts in zip(seps, t[k:]):
+                        for l, v in supports[s]:
+                            shift[l] += scale * v * ts
+                    c0 = sum(shift[l] * shift[l] for l in alone)
+                    counts = _independent_sum(c0, parts, shift, cap, depth + 1, geometry)
+                    for norm, c in counts.items():
+                        out[norm] = out.get(norm, 0) + c
+            return
+        # the part of level i-1's offset that t[i+1..] fixes; each child adds step * t[i]
+        below = lmat[i - 1]
+        base = below[m] + sum(below[j] * t[j] for j in range(i + 1, m))
+        step = below[i]
+        for x in xs:
+            left = rem - d[i] * (x + off) ** 2
+            if left >= -slack:
+                t[i] = x
+                node(i - 1, base + step * x, left)
+
+    if cap - d[m] >= -slack:
+        node(m - 1, lmat[m - 1][m], cap - d[m])
+    return out
+
+
+def _independent_sum(c0: int, parts, y, cap: int, depth: int, geometry) -> dict:
+    """Norm counts of c0 plus the norms of groups with disjoint coordinates, truncated at cap."""
+    counts = {c0: 1} if c0 <= cap else {}
+    for part in parts:
+        if not counts:
+            break
+        counts = _convolve(counts, _norm_counts(part, y, cap - min(counts), depth, geometry), cap)
+    return counts
+
+
 def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
     """Exact number of points of anchor + lattice inside the query ball.
 
@@ -324,58 +451,46 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
     """
     if query.n != basis.n:
         raise InvalidParametersError("query modulus does not match basis")
-    anchor = tuple(int(x) for x in anchor)
+    try:
+        anchor = [Fraction(x) for x in anchor]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParametersError("anchor entries must be integers") from None
+    if any(x.denominator != 1 for x in anchor):
+        raise InvalidParametersError("anchor entries must be integers")
     if len(anchor) != basis.n:
         raise InvalidParametersError("anchor must have length n")
-    r = basis.rank
+    z = [x - c for x, c in zip(anchor, query.center)]
+    w = [sum(zi * x for zi, x in zip(z, v)) for v in basis.vectors]
     radius_sq = float(query.radius) ** 2
-    d, lmat = _homogeneous_ldl(basis, query.center, anchor)
+    d, lmat = _homogeneous_ldl(basis.gram, w, sum(zi * zi for zi in z))
     work = _predicted_nodes(d, radius_sq)
     if work > _WORK_GUARD:
         raise ResourceLimitError(
             f"predicted enumeration workload {work:.3g} exceeds guard {_WORK_GUARD:g}"
         )
-    rem0 = radius_sq - d[r]
-    if rem0 < -_SLACK:
-        return 0
-    if r == 0:
-        return 1
-    t = [0] * r
-
-    def count(i: int, off: float, rem: float) -> int:
-        """Points with t[i+1..r-1] fixed; off is level i's offset, rem the squared radius left."""
-        width = sqrt((rem + _SLACK) / d[i])
-        lo = ceil(-off - width)
-        hi = floor(-off + width)
-        if i == 0:  # rank 1; rem >= -_SLACK, so the count is never negative
-            return hi - lo + 1
-        # the part of level i-1's offset that t[i+1..] fixes; each child adds step * t[i]
-        below = lmat[i - 1]
-        base = below[r]
-        for j in range(i + 1, r):
-            base += below[j] * t[j]
-        step = below[i]
-        di = d[i]
-        total = 0
-        if i == 1:
-            d0 = d[0]
-            for x in range(lo, hi + 1):
-                y = x + off
-                left = rem - di * y * y
-                if left >= -_SLACK:
-                    o = base + step * x
-                    w = sqrt((left + _SLACK) / d0)
-                    total += floor(w - o) - ceil(-w - o) + 1
-            return total
-        for x in range(lo, hi + 1):
-            y = x + off
-            left = rem - di * y * y
-            if left >= -_SLACK:
-                t[i] = x
-                total += count(i - 1, base + step * x, left)
-        return total
-
-    return count(r - 1, lmat[r - 1][r], rem0)
+    # scaled by the common denominator D, every squared distance is an integer
+    scale = lcm(*(zi.denominator for zi in z))
+    cap = floor(scale * scale * Fraction(radius_sq + _SLACK))
+    y = [int(scale * zi) for zi in z]
+    # move the anchor by the lattice point nearest the real minimizer, so the
+    # floats that prune below work near the center whatever the anchor
+    r = basis.rank
+    near = [0.0] * r
+    for i in range(r - 1, -1, -1):
+        near[i] = -(lmat[i][r] + sum(lmat[i][j] * near[j] for j in range(i + 1, r)))
+    for ti, v in zip(map(round, near), basis.vectors):
+        if ti:
+            y = [yl + scale * ti * x for yl, x in zip(y, v)]
+    supports = [tuple((l, x) for l, x in enumerate(v) if x) for v in basis.vectors]
+    chain, m = [], basis.n
+    while m > 1:
+        _, q, m = _peel_largest_prime(m)
+        chain.append(q)
+    geometry = (supports, basis.gram, scale, chain)
+    covered = {l for s in supports for l, _ in s}
+    c0 = sum(y[l] * y[l] for l in range(basis.n) if l not in covered)
+    parts = _components(range(basis.rank), supports)
+    return sum(_independent_sum(c0, parts, y, cap, 0, geometry).values())
 
 
 def basis_to_json(basis: RelationBasis) -> dict:

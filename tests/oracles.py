@@ -5,13 +5,17 @@ polynomials come from the Moebius product, vanishing checks from 50-digit
 numeric evaluation, totients from gcd counting, and the multinomial-model
 divisibility probabilities from per-modulus combinatorial structure derived
 by hand (single balanced atom for prime n, coordinate matching for prime
-powers, pair-difference convolution for n = 2p).
+powers, pair-difference convolution for n = 2p).  The one exception is
+fincke_pohst_count, the library's former per-point ball count, which shares
+the library's float LDL.
 """
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import ceil, factorial, floor, gcd, sqrt
 
 import mpmath
+
+from lacunary.lattice import _SLACK, _homogeneous_ldl
 
 mpmath.mp.dps = 50
 
@@ -210,3 +214,61 @@ def relation_probability_direct(k: int, n: int) -> Fraction:
 
 def brute_sweep_max(N: int, search_to: int) -> int:
     return max(n for n in range(1, search_to + 1) if phi_trial(n) <= N)
+
+
+# --- ball counting by per-point Fincke-Pohst recursion ---------------------------
+
+
+def fincke_pohst_count(basis, query, anchor) -> int:
+    """Points of anchor + lattice in the query ball, one level-1 node per few points.
+
+    Coefficients are fixed from the last down to the first, with interval
+    bounds from the float LDL and a 1e-9 slack toward inclusion; the level-1
+    loop counts level 0 in closed form.  No workload guard: keep queries small.
+    """
+    z = [Fraction(a) - c for a, c in zip(anchor, query.center)]
+    w = [sum(zi * x for zi, x in zip(z, v)) for v in basis.vectors]
+    d, lmat = _homogeneous_ldl(basis.gram, w, sum(zi * zi for zi in z))
+    r = basis.rank
+    radius_sq = float(query.radius) ** 2
+    rem0 = radius_sq - d[r]
+    if rem0 < -_SLACK:
+        return 0
+    if r == 0:
+        return 1
+    t = [0] * r
+
+    def count(i: int, off: float, rem: float) -> int:
+        """Points with t[i+1..r-1] fixed; off is level i's offset, rem the squared radius left."""
+        width = sqrt((rem + _SLACK) / d[i])
+        lo = ceil(-off - width)
+        hi = floor(-off + width)
+        if i == 0:  # rank 1; rem >= -_SLACK, so the count is never negative
+            return hi - lo + 1
+        # the part of level i-1's offset that t[i+1..] fixes; each child adds step * t[i]
+        below = lmat[i - 1]
+        base = below[r]
+        for j in range(i + 1, r):
+            base += below[j] * t[j]
+        step = below[i]
+        di = d[i]
+        total = 0
+        if i == 1:
+            d0 = d[0]
+            for x in range(lo, hi + 1):
+                y = x + off
+                left = rem - di * y * y
+                if left >= -_SLACK:
+                    o = base + step * x
+                    w = sqrt((left + _SLACK) / d0)
+                    total += floor(w - o) - ceil(-w - o) + 1
+            return total
+        for x in range(lo, hi + 1):
+            y = x + off
+            left = rem - di * y * y
+            if left >= -_SLACK:
+                t[i] = x
+                total += count(i - 1, base + step * x, left)
+        return total
+
+    return count(r - 1, lmat[r - 1][r], rem0)

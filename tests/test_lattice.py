@@ -21,6 +21,7 @@ from lacunary import lattice
 from lacunary.cyclotomic import _cyclotomic_coeffs, _poly_mod
 from lacunary.lattice import _adjugate, _bareiss_det, _copy_block, _gram_det
 from lacunary.numtheory import factorize, omega, totient
+from oracles import fincke_pohst_count
 
 
 def dense_kills_cyclotomic(vector, n):
@@ -349,7 +350,132 @@ def test_count_matches_box_scan_off_center_above_rank3():
                     assert enumerate_ball(basis, q, anchor) == expected, (n, anchor, radius_sq)
 
 
-# (n, radius) -> exact count at the origin; acceptance 6 minus its three costly cells
+def shuffled(basis, rng):
+    """The same lattice with its basis vectors in a random order."""
+    perm = list(range(basis.rank))
+    rng.shuffle(perm)
+    return replace(
+        basis,
+        vectors=tuple(basis.vectors[i] for i in perm),
+        gram=tuple(tuple(basis.gram[i][j] for j in perm) for i in perm),
+    )
+
+
+def test_count_matches_fincke_pohst_on_shuffled_bases():
+    # the former per-point recursion is the reference; the norm-distribution
+    # count must not depend on the order of the basis vectors
+    rng = random.Random(23)
+    for n in (12, 15, 18, 20, 24, 30):
+        b = build_basis(n)
+        for _ in range(3):
+            anchor = [rng.randint(-2, 2) for _ in range(n)]
+            s = [rng.randint(-2, 2) for _ in range(b.rank)]
+            center = [x + Fraction(rng.randint(-1, 1), rng.randint(2, 4))
+                      for x in lattice_point(b, anchor, s)]
+            for radius_sq in (0, 1, 3, 6):
+                q = BallQuery(center=center, radius=sqrt(radius_sq), n=n)
+                expected = fincke_pohst_count(b, q, anchor)
+                for basis in (b, shuffled(b, rng)):
+                    assert enumerate_ball(basis, q, anchor) == expected, (n, anchor, radius_sq)
+
+
+def test_count_matches_box_scan_with_a_large_center_denominator():
+    # D = 997: D^2 R^2 runs to 10^7, but the norm counts hold only the norms
+    # reached.  Distinct squared distances differ by at least 1/997^2, far
+    # more than the slack, so the points on the sphere are still decided.
+    rng = random.Random(29)
+    for n in (4, 8, 9):
+        b = build_basis(n)
+        for _ in range(3):
+            anchor = [rng.randint(-2, 2) for _ in range(n)]
+            s = [rng.randint(-2, 2) for _ in range(b.rank)]
+            center = [x + Fraction(rng.randint(-400, 400), 997) for x in lattice_point(b, anchor, s)]
+            on_sphere = []
+            for _ in range(3):
+                point = lattice_point(b, anchor, [si + rng.randint(-1, 1) for si in s])
+                on_sphere.append(sum((x - c) ** 2 for x, c in zip(point, center)))
+            for radius_sq in [1, 3, 6] + [d for d in on_sphere if d <= 8]:
+                q = BallQuery(center=center, radius=sqrt(radius_sq), n=n)
+                expected = box_count(b, center, radius_sq, anchor)
+                for basis in (b, shuffled(b, rng)):
+                    assert enumerate_ball(basis, q, anchor) == expected, (n, radius_sq)
+
+
+def test_points_on_the_sphere_at_a_separator_node_are_counted():
+    # at the origin, n = 10 has the point t_sep = 2, t_copy = -1 at squared
+    # distance 10, the least over real copy coefficients; n = 12 and 18 alike
+    for n, radius_sq in ((10, 10), (12, 6), (12, 24), (18, 6)):
+        b = build_basis(n)
+        q = BallQuery(center=(0,) * n, radius=sqrt(radius_sq), n=n)
+        assert enumerate_ball(b, q, (0,) * n) == fincke_pohst_count(b, q, (0,) * n), (n, radius_sq)
+
+
+def unimodular(basis, rng):
+    """U b for a random unit upper-triangular U: the same lattice, mixed supports."""
+    r = basis.rank
+    u = [[int(i == j) + (rng.randint(-1, 1) if j > i else 0) for j in range(r)] for i in range(r)]
+    vectors = tuple(
+        tuple(sum(ui[k] * v[l] for k, v in enumerate(basis.vectors)) for l in range(basis.n))
+        for ui in u
+    )
+    return replace(basis, vectors=vectors, gram=tuple(tuple(row) for row in gram_of(vectors)))
+
+
+def test_count_does_not_depend_on_the_basis_of_the_lattice():
+    # a mixed basis meets every residue class, so every coefficient is a
+    # separator; a prefix of the basis spans a sublattice and leaves
+    # coordinates that no vector covers
+    rng = random.Random(31)
+    for n in (6, 10, 12):
+        b = build_basis(n)
+        mixed = unimodular(b, rng)
+        prefix = replace(b, rank=2, vectors=b.vectors[:2], gram=tuple(row[:2] for row in b.gram[:2]))
+        for _ in range(3):
+            anchor = [rng.randint(-2, 2) for _ in range(n)]
+            s = [rng.randint(-2, 2) for _ in range(b.rank)]
+            center = [x + Fraction(rng.randint(-1, 1), rng.randint(2, 4))
+                      for x in lattice_point(b, anchor, s)]
+            for radius_sq in (0, 2, 6):
+                q = BallQuery(center=center, radius=sqrt(radius_sq), n=n)
+                expected = fincke_pohst_count(b, q, anchor)
+                assert enumerate_ball(b, q, anchor) == expected, (n, radius_sq)
+                assert enumerate_ball(mixed, q, anchor) == expected, (n, radius_sq)
+                part = box_count(prefix, center, radius_sq, anchor)
+                assert enumerate_ball(prefix, q, anchor) == part, (n, radius_sq)
+
+
+def test_count_is_exact_beyond_the_float_slack():
+    # D = 10^6: the origin lies 2e-9 outside radius^2 + 1e-9, the exact rule,
+    # which floats at this scale cannot resolve, so only the integer norm
+    # drops it; a second radius keeps it 2e-9 inside
+    rng = random.Random(37)
+    for n in (6, 10):
+        b = build_basis(n)
+        for basis in (b, unimodular(b, rng)):
+            center = [Fraction(rng.randint(-800_000, 800_000), 10**6) for _ in range(n)]
+            dist_sq = sum(c * c for c in center)
+            for margin in (Fraction(3, 10**9), Fraction(-1, 10**9)):
+                radius = sqrt(dist_sq - margin)
+                q = BallQuery(center=center, radius=radius, n=n)
+                limit = Fraction(radius**2 + lattice._SLACK)
+                assert (limit < dist_sq) == (margin > 0)
+                expected = box_count(b, center, limit, (0,) * n)
+                assert enumerate_ball(basis, q, (0,) * n) == expected, (n, margin)
+
+
+def test_count_at_a_far_anchor_equals_the_count_at_the_origin():
+    # anchor + lattice is the lattice when the anchor is a lattice point, here
+    # with coefficients up to 10^6, far beyond what floats resolve to 1e-9
+    rng = random.Random(41)
+    for n in (12, 30):
+        b = build_basis(n)
+        far = lattice_point(b, [0] * n, [rng.randint(-10**6, 10**6) for _ in range(b.rank)])
+        for radius_sq in (5, 9):
+            q = BallQuery(center=(Fraction(1, 3),) * n, radius=sqrt(radius_sq), n=n)
+            assert enumerate_ball(b, q, far) == enumerate_ball(b, q, (0,) * n), (n, radius_sq)
+
+
+# (n, radius) -> exact count at the origin; acceptance 6 minus the refused (12, 20)
 ORIGIN_COUNTS = {
     (4, 5): 37,
     (4, 10): 161,
@@ -365,7 +491,9 @@ ORIGIN_COUNTS = {
     (9, 20): 6451,
     (10, 5): 10281,
     (10, 10): 576729,
+    (10, 20): 37014729,
     (12, 5): 137577,
+    (12, 10): 34226593,
 }
 
 
@@ -388,6 +516,22 @@ def test_enumeration_validation():
         BallQuery(center=(0, 0, 0, 0), radius=-1, n=4)
     with pytest.raises(InvalidParametersError):
         enumerate_ball(b, BallQuery(center=(0,) * 6, radius=1, n=6), (0,) * 4)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+def test_ball_query_rejects_a_non_finite_radius(radius):
+    with pytest.raises(InvalidParametersError):
+        BallQuery(center=(0, 0, 0, 0), radius=radius, n=4)
+
+
+@pytest.mark.parametrize("entry", [0.5, Fraction(1, 3), float("nan"), float("inf")])
+def test_enumerate_ball_rejects_a_non_integer_anchor(entry):
+    b = build_basis(4)
+    q = BallQuery(center=(0, 0, 0, 0), radius=2, n=4)
+    with pytest.raises(InvalidParametersError):
+        enumerate_ball(b, q, (entry, 0, 0, 0))
+    # integral values of any numeric type are integers
+    assert enumerate_ball(b, q, (1.0, 0, Fraction(1), 0)) == enumerate_ball(b, q, (1, 0, 1, 0))
 
 
 # --- volume bound ------------------------------------------------------------------
