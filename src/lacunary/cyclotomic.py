@@ -7,18 +7,19 @@ divides F:
   remainder modulo the n-th cyclotomic polynomial;
 
 * the structural route never builds the cyclotomic polynomial.  It works
-  with the sparse exponent multiset directly: pick the largest prime power
-  q = p^e exactly dividing n, split the terms by their q-component under
-  the Chinese Remainder correspondence, eliminate components with index
-  at or above phi(q) by the relation
-
-      zeta^{p^{e-1}(p-1) + r} = -(zeta^{r} + zeta^{p^{e-1} + r} + ...
-                                 + zeta^{p^{e-1}(p-2) + r}),
-
-  and recurse on each surviving component with modulus n / q.  The base
-  case n = 1 asks whether an integer sum vanishes.  On sparse inputs this
-  costs roughly the number of terms times the product of the primes in n,
-  which is what makes whole-sweep experiments affordable.
+  with the sparse exponent multiset directly: peel n = q n' with q = p^e
+  the full power of the largest prime p of n (numtheory.peel).  With
+  u n' + v q = 1, zeta_q = zeta_n^{u n'} and zeta_{n'} = zeta_n^{v q} are
+  primitive and zeta_n^l = zeta_q^{l mod q} zeta_{n'}^{l mod n'}, so the
+  sum is sum_{a < q} zeta_q^a X_a with columns X_a in Z[zeta_{n'}].  The
+  q-th cyclotomic polynomial, sum_{t < p} x^{t q/p}, stays irreducible over
+  Q(zeta_{n'}), so the sum vanishes exactly when, for each r < q/p, the p
+  columns X_{r + t q/p} are equal (Lam-Leung, J. Algebra 224, 2000): each
+  vanishes if one is zero, else each minus the smallest vanishes, a sum at
+  modulus n' decided by recursion.  The base case n = 1 asks whether an
+  integer sum vanishes.  A full class has p terms or more, so each level
+  passes on at most twice its terms, whatever p, which is what makes
+  whole-sweep experiments affordable.
 
 A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
 whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
@@ -52,7 +53,7 @@ from math import gcd, inf
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, ResourceLimitError
-from .numtheory import largest_prime_power, primes_up_to, smooth_divisors, totient
+from .numtheory import peel, primes_up_to, smooth_divisors, totient
 from .sparsepoly import SparsePoly, reduce_mod_cyclic
 
 
@@ -147,71 +148,57 @@ def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
 # --- structural algorithm ----------------------------------------------------
 
 
-# A sweep's working set is a few thousand moduli and their cofactors: 1,909
-# for a 20-polynomial detect file, 882 for one full sweep at N = 3 * 10^4.
-@lru_cache(maxsize=8192)
-def _peel(n: int) -> tuple[int, int, int, int, int, int, int]:
-    """Recursion data for modulus n >= 2: (q, p, n', phi_q, step, inv_n', inv_q)."""
-    p, e, q = largest_prime_power(n)
-    nprime = n // q
-    step = q // p
-    phi_q = step * (p - 1)
-    inv_np = pow(nprime, -1, q)
-    inv_q = pow(q, -1, nprime) if nprime > 1 else 0
-    return q, p, nprime, phi_q, step, inv_np, inv_q
-
-
 def _vanishes(vec: dict[int, int], n: int) -> bool:
     """Whether sum of vec[l] * zeta_n^l is zero, zeta_n primitive n-th root.
 
     Coefficients must be non-zero.  Keys need not be reduced mod n: the
-    component indices depend only on l mod q and l mod n', and congruent
-    keys merge inside a component.
+    columns depend only on l mod q and l mod n', and congruent keys merge
+    inside a column.
     """
     if len(vec) < 2:
         return not vec  # a single non-zero multiple of a root of unity
     if n == 1:
         return sum(vec.values()) == 0
-    q, p, nprime, phi_q, step, inv_np, inv_q = _peel(n)
-    # A component below phi_q with one key that no fold reaches cannot
-    # vanish; this rejects almost every (random polynomial, large modulus)
-    # pair after one pass over the keys.
+    p, q, nprime = peel(n)
+    step = q // p
+    # A one-term column is not zero, so in a class short of a column it
+    # cannot vanish; this rejects almost every (random polynomial, large
+    # modulus) pair after one pass over the keys.
     acnt: dict[int, int] = {}
     for l in vec:
-        a = (l % q) * inv_np % q
-        acnt[a] = acnt.get(a, 0) + 1
-    folded = set()
+        acnt[l % q] = acnt.get(l % q, 0) + 1
+    width: dict[int, int] = {}
     for a in acnt:
-        if a >= phi_q:
-            folded.add(a - phi_q)
+        width[a % step] = width.get(a % step, 0) + 1
     for a, c in acnt.items():
-        if c == 1 and a < phi_q and a % step not in folded:
+        if c == 1 and width[a % step] < p:
             return False
-    comps: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
     for l, c in vec.items():
-        a = (l % q) * inv_np % q
-        b = (l % nprime) * inv_q % nprime if nprime > 1 else 0
-        comp = comps.setdefault(a, {})
-        nc = comp.get(b, 0) + c
+        col = cols.setdefault(l % q, {})
+        b = l % nprime
+        nc = col.get(b, 0) + c
         if nc:
-            comp[b] = nc
+            col[b] = nc
         else:
-            del comp[b]
-    # folds only ever target indices below phi_q, so a key snapshot is safe
-    for a in [a for a in comps if a >= phi_q]:
-        sub = comps.pop(a)
-        if not sub:
-            continue
-        r = a - phi_q
-        for t in range(p - 1):
-            tgt = comps.setdefault(t * step + r, {})
-            for b, c in sub.items():
-                nc = tgt.get(b, 0) - c
-                if nc:
-                    tgt[b] = nc
-                else:
-                    del tgt[b]
-    return all(_vanishes(sub, nprime) for sub in comps.values() if sub)
+            del col[b]
+    classes: dict[int, list[dict[int, int]]] = {}
+    for a, col in cols.items():
+        if col:
+            classes.setdefault(a % step, []).append(col)
+    for group in classes.values():
+        if len(group) == p:  # every column present: each must equal the smallest
+            x0, *group = sorted(group, key=len)
+            for x in group:
+                for b, c in x0.items():
+                    nc = x.get(b, 0) - c
+                    if nc:
+                        x[b] = nc
+                    else:
+                        del x[b]
+        if not all(_vanishes(x, nprime) for x in group):
+            return False
+    return True
 
 
 def root_power_sum_is_zero(exponents, n: int, coefficients=None) -> bool:

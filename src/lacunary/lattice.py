@@ -3,7 +3,8 @@
 The integer combinations of n-th roots of unity that evaluate to zero form
 a lattice of rank n - phi(n) inside Z^n (coordinates indexed by the powers
 of a fixed primitive root).  build_basis is its only recursion.  It peels
-off the largest prime p of n with its full power q, n = q n', and takes
+off the largest prime p of n with its full power q, n = q n' (numtheory.peel),
+and takes
 
 * q copies of the cached basis for n': its image under zeta_{n'} -> zeta_n^q
   times zeta_n^{n' i} for i < q, with supports (n' i + q l) mod n;
@@ -59,7 +60,7 @@ Nothing depends on the basis order, and in a basis without this structure,
 such as a unimodular mix of this one, every vector is a separator.  The
 anchor is first moved by the lattice point nearest the real minimizer, so the
 floats work near the center.  The 10^7 guard still predicts per-point
-Fincke-Pohst nodes from the LDL of the whole basis.
+Fincke-Pohst nodes from the LDL of the whole basis, taken at the moved anchor.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ from math import ceil, exp, floor, isfinite, lcm, log, sqrt
 
 from .bounds import ball_volume_log
 from .errors import InvalidParametersError, ResourceLimitError
-from .numtheory import factorize, totient
+from .numtheory import peel, totient
 from .cyclotomic import root_power_sum_is_zero
 
 _WORK_GUARD = 10**7
@@ -103,13 +104,6 @@ class BallQuery:
             raise InvalidParametersError(f"radius must be >= 0, got {self.radius}")
         if len(self.center) != self.n:
             raise InvalidParametersError("center must have length n")
-
-
-def _peel_largest_prime(n: int) -> tuple[int, int, int]:
-    """(p, q, n') with p the largest prime of n, q its full power and n = q n'."""
-    p, e = factorize(n)[-1]
-    q = p**e
-    return p, q, n // q
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -167,7 +161,7 @@ def _copy_block(n: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[i
 
 def _gram_det(n: int, gram: list[list[int]]) -> int:
     """det gram by the block recursion of the module docstring."""
-    p, q, nprime = _peel_largest_prime(n)
+    p, q, nprime = peel(n)
     r = len(gram)
     if nprime == 1:
         if any(gram[i][j] != (p if i == j else 0) for i in range(r) for j in range(r)):
@@ -208,7 +202,7 @@ def build_basis(n: int) -> RelationBasis:
     rank = n - totient(n)
     if (work := rank * n + rank * rank) > _WORK_GUARD:
         raise ResourceLimitError(f"basis for n={n} needs {work:.3g} entries, guard {_WORK_GUARD:g}")
-    p, q, nprime = _peel_largest_prime(n)
+    p, q, nprime = peel(n)
     # zeta_{n'} = zeta_n^q and zeta_q = zeta_n^{n'} fix the CRT embedding
     smaller = build_basis(nprime).vectors if nprime > 1 else ()
     prev = [[l for l, x in enumerate(v) if x] for v in smaller]
@@ -460,9 +454,25 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
     if len(anchor) != basis.n:
         raise InvalidParametersError("anchor must have length n")
     z = [x - c for x, c in zip(anchor, query.center)]
-    w = [sum(zi * x for zi, x in zip(z, v)) for v in basis.vectors]
+
+    def ldl(z):
+        w = [sum(zi * x for zi, x in zip(z, v)) for v in basis.vectors]
+        return _homogeneous_ldl(basis.gram, w, sum(zi * zi for zi in z))
+
+    # move the anchor by the lattice point nearest the real minimizer, so the
+    # guard and the floats that prune below work near the center whatever the
+    # anchor: far out, d[-1] cancels catastrophically
+    d, lmat = ldl(z)
+    r = basis.rank
+    near = [0.0] * r
+    for i in range(r - 1, -1, -1):
+        near[i] = -(lmat[i][r] + sum(lmat[i][j] * near[j] for j in range(i + 1, r)))
+    if any(move := list(map(round, near))):
+        for ti, v in zip(move, basis.vectors):
+            if ti:
+                z = [zl + ti * x for zl, x in zip(z, v)]
+        d, _ = ldl(z)
     radius_sq = float(query.radius) ** 2
-    d, lmat = _homogeneous_ldl(basis.gram, w, sum(zi * zi for zi in z))
     work = _predicted_nodes(d, radius_sq)
     if work > _WORK_GUARD:
         raise ResourceLimitError(
@@ -472,19 +482,10 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
     scale = lcm(*(zi.denominator for zi in z))
     cap = floor(scale * scale * Fraction(radius_sq + _SLACK))
     y = [int(scale * zi) for zi in z]
-    # move the anchor by the lattice point nearest the real minimizer, so the
-    # floats that prune below work near the center whatever the anchor
-    r = basis.rank
-    near = [0.0] * r
-    for i in range(r - 1, -1, -1):
-        near[i] = -(lmat[i][r] + sum(lmat[i][j] * near[j] for j in range(i + 1, r)))
-    for ti, v in zip(map(round, near), basis.vectors):
-        if ti:
-            y = [yl + scale * ti * x for yl, x in zip(y, v)]
     supports = [tuple((l, x) for l, x in enumerate(v) if x) for v in basis.vectors]
     chain, m = [], basis.n
     while m > 1:
-        _, q, m = _peel_largest_prime(m)
+        _, q, m = peel(m)
         chain.append(q)
     geometry = (supports, basis.gram, scale, chain)
     covered = {l for s in supports for l, _ in s}

@@ -475,6 +475,17 @@ def test_count_at_a_far_anchor_equals_the_count_at_the_origin():
             assert enumerate_ball(b, q, far) == enumerate_ball(b, q, (0,) * n), (n, radius_sq)
 
 
+def test_the_guard_sees_the_query_moved_near_the_origin():
+    # a centre far out along the lattice once cancelled catastrophically in
+    # the guard's float LDL, which predicted 1.03e7 nodes and refused
+    rng = random.Random(12)
+    b = build_basis(12)
+    far = lattice_point(b, [0] * 12, [rng.randint(-10**9, 10**9) for _ in range(b.rank)])
+    q = BallQuery(center=[Fraction(1, 3) + x for x in far], radius=sqrt(2), n=12)
+    near = BallQuery(center=(Fraction(1, 3),) * 12, radius=sqrt(2), n=12)
+    assert enumerate_ball(b, q, (0,) * 12) == enumerate_ball(b, near, (0,) * 12) == 7
+
+
 # (n, radius) -> exact count at the origin; acceptance 6 minus the refused (12, 20)
 ORIGIN_COUNTS = {
     (4, 5): 37,

@@ -70,3 +70,28 @@ def test_every_library_function_and_class_is_referenced():
         used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
     assert len(defined) > 50
     assert [d for d in defined if d.split(":")[1] not in used] == []
+
+
+def _cache_decorators(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    yield f"{path.name}:{node.name}", dec
+
+
+def _has_integer_maxsize(dec) -> bool:
+    if not isinstance(dec, ast.Call):
+        return False  # functools.cache, or lru_cache without its argument
+    sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+
+
+def test_every_cache_is_bounded():
+    # an unbounded cache keeps every modulus a sweep touches for the life of
+    # the process
+    caches = [hit for path in sorted(SRC.glob("*.py")) for hit in _cache_decorators(path)]
+    assert len(caches) > 5
+    assert [name for name, dec in caches if not _has_integer_maxsize(dec)] == []
