@@ -9,7 +9,7 @@ trend information.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lgamma, log, pi, sqrt
+from math import exp, lgamma, log, pi, sqrt
 
 from .errors import InvalidParametersError, ResourceLimitError
 from .numtheory import is_squarefree, primes_up_to, totient, totient_sieve
@@ -159,7 +159,7 @@ def central_atom(k: int, n: int) -> float:
     if k < 1 or n < 1:
         raise InvalidParametersError("need k >= 1 and n >= 1")
     if k % n == 0:
-        return float(Fraction(factorial(k), factorial(k // n) ** n * n**k))
+        return float(multinomial_weight((k // n,) * n, k, n))
     return exp(_log_central_atom(k, n))
 
 

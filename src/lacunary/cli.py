@@ -26,10 +26,6 @@ from .lattice import basis_to_json, build_basis
 from .sparsepoly import SparsePoly, read_poly_file
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="lacunary", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -42,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--workers", type=int, default=_default_workers())
+            p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         return p
 
     p = command("test", "detect factors for each polynomial in a file")
@@ -72,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="specific modulus (default: any factor)")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
+    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default=None,
+                   help="sweep of the any-factor event (default full-sweep); not with --n")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
     p = command("decay", "any-factor estimates across a k list", formats=True, seeded=True)
@@ -85,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
+    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default=None,
+                   help="sweep of the any-factor event (default full-sweep); not with --n")
 
     return top
 
@@ -161,13 +159,15 @@ def _emit_reports(args, reports, out) -> None:
 
 def _run_estimate(args, out) -> None:
     if args.n is not None:
+        if args.mode is not None or args.cap_override is not None:
+            raise InvalidParametersError("--mode and --cap-override choose a sweep, not with --n")
         report = estimate_phi_n(
             args.k, args.N, args.n, args.trials, args.seed, workers=args.workers
         )
     else:
         report = estimate_any_cyclotomic(
             args.k, args.N, args.trials, args.seed,
-            mode=args.mode, workers=args.workers, cap=args.cap_override,
+            mode=args.mode or "full-sweep", workers=args.workers, cap=args.cap_override,
         )
     _emit_reports(args, [report], out)
 

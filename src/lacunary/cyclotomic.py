@@ -1,7 +1,8 @@
 """Exact detection of cyclotomic divisors of sparse 0,1-polynomials.
 
 Two independent algorithms decide whether the n-th cyclotomic polynomial
-divides F:
+divides F.  The structural one decides everywhere; the dense one, which
+builds Phi_d for every divisor d of n, is kept only to check it in tests:
 
 * the dense route reduces F modulo x^n - 1 and takes the exact integer
   remainder modulo the n-th cyclotomic polynomial;
@@ -46,13 +47,14 @@ tests them in ascending order, so factor lists and early exits are those
 of the whole range.
 """
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf
 
 from .bounds import admissible_kernels
-from .errors import InvalidParametersError, ResourceLimitError
+from .errors import InvalidParametersError, ResourceLimitError, refuse_above
 from .numtheory import peel, primes_up_to, smooth_divisors, totient
 from .sparsepoly import SparsePoly, reduce_mod_cyclic
 
@@ -137,7 +139,7 @@ def cyclotomic_poly(n: int) -> DensePoly:
 
 
 def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
-    """Dense test: remainder of (F mod x^n - 1) modulo the n-th cyclotomic poly."""
+    """Dense check of the structural test: remainder of (F mod x^n - 1) modulo Phi_n."""
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
     counts = list(reduce_mod_cyclic(poly, n).counts)
@@ -205,19 +207,15 @@ def root_power_sum_is_zero(exponents, n: int, coefficients=None) -> bool:
     """Exact test of sum coeff_i * zeta_n^{e_i} == 0 for integer coefficients."""
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
-    exponents = list(exponents)
-    coefficients = [1] * len(exponents) if coefficients is None else list(coefficients)
+    if coefficients is None:  # one pass: this is the per-trial cost of estimate_phi_n
+        return _vanishes(Counter([e % n for e in exponents]), n)
+    exponents, coefficients = list(exponents), list(coefficients)
     if len(coefficients) != len(exponents):
         raise InvalidParametersError("need exactly one coefficient per exponent")
     vec: dict[int, int] = {}
     for e, c in zip(exponents, coefficients):
-        l = e % n
-        nc = vec.get(l, 0) + c
-        if nc:
-            vec[l] = nc
-        else:
-            vec.pop(l, None)
-    return _vanishes(vec, n)
+        vec[e % n] = vec.get(e % n, 0) + c
+    return _vanishes({l: c for l, c in vec.items() if c}, n)
 
 
 def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
@@ -257,7 +255,6 @@ def part_vanishes(split: SplitSums, i: int) -> bool:
 # About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify; that count
 # predicts a sweep's size before anything is allocated.
 _PHI_DENSITY = 1.9436
-_SWEEP_GUARD = 10**7
 # beyond this many admissible kernels (k of about 120) the generated products
 # cost more than testing the whole range
 _GENERATE_KERNELS = 2**14
@@ -298,10 +295,7 @@ def _predicted_moduli(N: int, k: int | None) -> float:
 def _guard(N: int, k: int | None, cap: int | None) -> None:
     """Refuse a sweep predicted above the guard, before anything is allocated."""
     predicted = _predicted_moduli(N, k)
-    if cap is not None:
-        predicted = min(predicted, cap)
-    if predicted > _SWEEP_GUARD:
-        raise ResourceLimitError(f"{predicted:.3g} predicted moduli exceed guard {_SWEEP_GUARD}")
+    refuse_above(predicted if cap is None else min(predicted, cap), "candidate moduli")
 
 
 @lru_cache(maxsize=4)

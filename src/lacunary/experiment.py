@@ -13,12 +13,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
-from .cyclotomic import divides_phi_dense, has_cyclotomic_factor
-from .errors import InvalidParametersError, ResourceLimitError
+from .cyclotomic import divides_phi_structural, has_cyclotomic_factor
+from .errors import InvalidParametersError, refuse_above
 from .sparsepoly import SparsePoly, sample_random
 
 _Z95 = 1.959963984540054
-_EXHAUSTIVE_GUARD = 10**7
 _PARALLEL_MIN_TRIALS = 256
 
 
@@ -60,7 +59,7 @@ def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, flo
 def _hit(poly: SparsePoly, n: int | None, mode: str | None, cap: int | None) -> bool:
     """The measured event: Phi_n | F for a given n, else any factor in the sweep."""
     if n is not None:
-        return divides_phi_dense(poly, n)
+        return divides_phi_structural(poly, n)
     return has_cyclotomic_factor(poly, mode, cap)
 
 
@@ -104,7 +103,7 @@ def _estimates(events: list[tuple], trials: int, seed: int, workers: int) -> lis
         reports.append(EstimateReport(
             k=k, N=N, n=n, trials=trials, hits=h, estimate=h / trials,
             ci_low=low, ci_high=high, seed=seed, mode="monte-carlo",
-            sweep_mode=None if n is not None else mode,
+            sweep_mode=mode,
         ))
     return reports
 
@@ -134,19 +133,21 @@ def estimate_any_cyclotomic(
 
 
 def exhaustive_enumeration(
-    k: int, N: int, n: int | None = None, mode: str = "full-sweep"
+    k: int, N: int, n: int | None = None, mode: str | None = None
 ) -> EstimateReport:
     """Exact probability by enumerating every exponent subset in lex order.
 
-    n selects the single-modulus event; n=None means 'any cyclotomic factor'.
+    n selects the single-modulus event, which takes no sweep mode;
+    n=None means 'any cyclotomic factor' under mode (default 'full-sweep').
     """
     if not 1 <= k <= N:
         raise InvalidParametersError(f"need 1 <= k <= N, got k={k}, N={N}")
+    if n is None:
+        mode = mode or "full-sweep"
+    elif n < 1 or mode is not None:
+        raise InvalidParametersError(f"need n >= 1 and no sweep mode, got n={n}, mode={mode}")
     total = comb(N, k)
-    if total > _EXHAUSTIVE_GUARD:
-        raise ResourceLimitError(
-            f"binom({N},{k}) = {total} exceeds exhaustive guard {_EXHAUSTIVE_GUARD}"
-        )
+    refuse_above(total, f"subsets of {k} of [1, {N}]")
     hits = 0
     for exps in combinations(range(1, N + 1), k):
         if _hit(SparsePoly(exps, N), n, mode, None):
@@ -156,7 +157,7 @@ def exhaustive_enumeration(
     return EstimateReport(
         k=k, N=N, n=n, trials=total, hits=hits, estimate=est,
         ci_low=est, ci_high=est, seed=0, mode="exhaustive",
-        sweep_mode=None if n is not None else mode, exact_value=exact,
+        sweep_mode=mode, exact_value=exact,
     )
 
 

@@ -69,11 +69,10 @@ from functools import lru_cache
 from math import ceil, exp, floor, isfinite, lcm, log, sqrt
 
 from .bounds import ball_volume_log
-from .errors import InvalidParametersError, ResourceLimitError
+from .errors import InvalidParametersError, refuse_above
 from .numtheory import peel, totient
 from .cyclotomic import root_power_sum_is_zero
 
-_WORK_GUARD = 10**7
 _SLACK = 1e-9
 
 
@@ -200,8 +199,7 @@ def build_basis(n: int) -> RelationBasis:
     if n < 2:
         raise InvalidParametersError(f"modulus must be >= 2, got {n}")
     rank = n - totient(n)
-    if (work := rank * n + rank * rank) > _WORK_GUARD:
-        raise ResourceLimitError(f"basis for n={n} needs {work:.3g} entries, guard {_WORK_GUARD:g}")
+    refuse_above(rank * n + rank * rank, f"vector and Gram entries of the basis for n={n}")
     p, q, nprime = peel(n)
     # zeta_{n'} = zeta_n^q and zeta_q = zeta_n^{n'} fix the CRT embedding
     smaller = build_basis(nprime).vectors if nprime > 1 else ()
@@ -473,11 +471,7 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
                 z = [zl + ti * x for zl, x in zip(z, v)]
         d, _ = ldl(z)
     radius_sq = float(query.radius) ** 2
-    work = _predicted_nodes(d, radius_sq)
-    if work > _WORK_GUARD:
-        raise ResourceLimitError(
-            f"predicted enumeration workload {work:.3g} exceeds guard {_WORK_GUARD:g}"
-        )
+    refuse_above(_predicted_nodes(d, radius_sq), "ball enumeration nodes")
     # scaled by the common denominator D, every squared distance is an integer
     scale = lcm(*(zi.denominator for zi in z))
     cap = floor(scale * scale * Fraction(radius_sq + _SLACK))

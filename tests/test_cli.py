@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 
 from lacunary import total_bound
 from lacunary.cli import main
@@ -155,6 +156,18 @@ def test_enumerate_resource_limit_exit_code(capsys):
     code, out, err = run_cli(["enumerate", "--k", "20", "--N", "45"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--k", "5", "--N", "12", "--n", "2", "--trials", "10", "--mode", "fs-pruned"],
+    ["estimate", "--k", "5", "--N", "12", "--n", "2", "--trials", "10", "--cap-override", "3"],
+    ["enumerate", "--k", "5", "--N", "12", "--n", "2", "--mode", "fs-pruned"],
+    ["enumerate", "--k", "20", "--N", "45", "--n", "0"],  # invalid before it is too large
+])
+def test_sweep_flags_with_one_modulus_are_invalid_parameters(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParametersError"
 
 
 def test_factors_sweep_guard_exit_code(capsys):

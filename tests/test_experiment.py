@@ -2,19 +2,24 @@
 
 import multiprocessing
 import os
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from lacunary import (
     InvalidParametersError,
     ResourceLimitError,
+    SparsePoly,
     decay_series,
+    divides_phi_dense,
     estimate_any_cyclotomic,
     estimate_phi_n,
     exhaustive_enumeration,
     lattice_ball_bound,
     reports_to_csv,
+    sample_random,
     wilson_interval,
 )
 from lacunary.experiment import report_to_json
@@ -66,6 +71,46 @@ def test_exhaustive_full_support_always_divisible():
 def test_exhaustive_guard():
     with pytest.raises(ResourceLimitError):
         exhaustive_enumeration(20, 45)
+    with pytest.raises(ResourceLimitError):  # 30,101 digits: too long for str() or a float
+        exhaustive_enumeration(50000, 100000)
+
+
+def test_single_modulus_event_takes_no_sweep_mode():
+    with pytest.raises(InvalidParametersError):
+        exhaustive_enumeration(5, 12, n=2, mode="fs-pruned")
+    with pytest.raises(InvalidParametersError):
+        exhaustive_enumeration(5, 12, n=2, mode="full-sweep")
+    with pytest.raises(InvalidParametersError):
+        exhaustive_enumeration(20, 45, n=0)  # invalid before it is too large
+    assert exhaustive_enumeration(4, 12).sweep_mode == "full-sweep"
+
+
+# --- the dense route checks the structural decision --------------------------------
+
+CHECKED_MODULI = (2, 3, 4, 6, 12, 30)
+
+
+def test_estimate_hits_equal_a_dense_recount():
+    k, N, trials, seed = 5, 40, 2000, 3
+    for n in CHECKED_MODULI:
+        recount = sum(divides_phi_dense(sample_random(k, N, seed, i), n) for i in range(trials))
+        assert estimate_phi_n(k, N, n, trials, seed).hits == recount, n
+
+
+def test_exhaustive_hits_equal_a_dense_recount():
+    k, N = 5, 16
+    subsets = [SparsePoly(exps, N) for exps in combinations(range(1, N + 1), k)]
+    for n in CHECKED_MODULI:
+        recount = sum(divides_phi_dense(F, n) for F in subsets)
+        assert exhaustive_enumeration(k, N, n=n).hits == recount, n
+
+
+def test_single_modulus_estimate_builds_no_cyclotomic_polynomial():
+    # the dense route divides x^4620 - 1 by every lower cyclotomic polynomial:
+    # 5.0 s for these 20 trials on a 2-vCPU VM
+    t = time.perf_counter()
+    estimate_phi_n(5, 10**4, 4620, 20, seed=1)
+    assert time.perf_counter() - t < 1.0
 
 
 # --- Monte Carlo ------------------------------------------------------------------

@@ -31,6 +31,18 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
+def test_no_library_path_calls_the_dense_route():
+    # Phi_n | F is decided by the structural test; divides_phi_dense, which
+    # builds Phi_n whatever n is, stays only as the tests' independent check
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "divides_phi_dense" in _names_used(node.func)
+    ]
+    assert calls == []
+
+
 def test_no_assert_statements_in_library():
     # python -O strips asserts, so library invariants must raise instead
     modules = sorted(SRC.glob("*.py"))
