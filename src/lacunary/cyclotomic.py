@@ -20,7 +20,9 @@ builds Phi_d for every divisor d of n, is kept only to check it in tests:
   modulus n' decided by recursion.  The base case n = 1 asks whether an
   integer sum vanishes.  A full class has p terms or more, so each level
   passes on at most twice its terms, whatever p, which is what makes
-  whole-sweep experiments affordable.
+  whole-sweep experiments affordable.  The first-peel filter (a one-term
+  column in a class short of a column) and the grouping into columns and
+  classes depend on q alone, so a sweep runs them once per distinct q.
 
 A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
 whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
@@ -150,6 +152,65 @@ def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
 # --- structural algorithm ----------------------------------------------------
 
 
+def _column_classes(keys, p: int, q: int) -> dict[int, list[list[int]]] | None:
+    """The keys in columns by l mod q, and the columns in classes by l mod q/p.
+
+    None when the first-peel filter rejects: a one-term column is not zero,
+    so in a class short of a column (where every column must vanish) the sum
+    cannot vanish; this rejects almost every (random polynomial, large
+    modulus) pair after one pass over the keys.
+    """
+    step = q // p
+    cols: dict[int, list[int]] = {}
+    for l in keys:
+        cols.setdefault(l % q, []).append(l)
+    width: dict[int, int] = {}
+    for a in cols:
+        width[a % step] = width.get(a % step, 0) + 1
+    classes: dict[int, list[list[int]]] = {}
+    for a, col in cols.items():
+        r = a % step
+        if len(col) == 1 and width[r] < p:
+            return None
+        classes.setdefault(r, []).append(col)
+    return classes
+
+
+def _classes_vanish(
+    vec: dict[int, int], p: int, nprime: int, classes: dict[int, list[list[int]]]
+) -> bool:
+    """Whether the sum vanishes, given its _column_classes at n = q n'.
+
+    Each column is reduced to Z[zeta_{n'}] by l mod n'; a class vanishes
+    when its p columns are equal, or, short of a column, when each is zero.
+    """
+    for group in classes.values():
+        cols = []
+        for keys in group:
+            col: dict[int, int] = {}
+            for l in keys:
+                b = l % nprime
+                nc = col.get(b, 0) + vec[l]
+                if nc:
+                    col[b] = nc
+                else:
+                    del col[b]
+            if col:
+                cols.append(col)
+        if len(cols) == p:  # every column present: each must equal the smallest
+            x0, *cols = sorted(cols, key=len)
+            for x in cols:
+                for b, c in x0.items():
+                    nc = x.get(b, 0) - c
+                    if nc:
+                        x[b] = nc
+                    else:
+                        del x[b]
+        if not all(_vanishes(x, nprime) for x in cols):
+            return False
+    return True
+
+
 def _vanishes(vec: dict[int, int], n: int) -> bool:
     """Whether sum of vec[l] * zeta_n^l is zero, zeta_n primitive n-th root.
 
@@ -162,45 +223,8 @@ def _vanishes(vec: dict[int, int], n: int) -> bool:
     if n == 1:
         return sum(vec.values()) == 0
     p, q, nprime = peel(n)
-    step = q // p
-    # A one-term column is not zero, so in a class short of a column it
-    # cannot vanish; this rejects almost every (random polynomial, large
-    # modulus) pair after one pass over the keys.
-    acnt: dict[int, int] = {}
-    for l in vec:
-        acnt[l % q] = acnt.get(l % q, 0) + 1
-    width: dict[int, int] = {}
-    for a in acnt:
-        width[a % step] = width.get(a % step, 0) + 1
-    for a, c in acnt.items():
-        if c == 1 and width[a % step] < p:
-            return False
-    cols: dict[int, dict[int, int]] = {}
-    for l, c in vec.items():
-        col = cols.setdefault(l % q, {})
-        b = l % nprime
-        nc = col.get(b, 0) + c
-        if nc:
-            col[b] = nc
-        else:
-            del col[b]
-    classes: dict[int, list[dict[int, int]]] = {}
-    for a, col in cols.items():
-        if col:
-            classes.setdefault(a % step, []).append(col)
-    for group in classes.values():
-        if len(group) == p:  # every column present: each must equal the smallest
-            x0, *group = sorted(group, key=len)
-            for x in group:
-                for b, c in x0.items():
-                    nc = x.get(b, 0) - c
-                    if nc:
-                        x[b] = nc
-                    else:
-                        del x[b]
-        if not all(_vanishes(x, nprime) for x in group):
-            return False
-    return True
+    classes = _column_classes(vec, p, q)
+    return classes is not None and _classes_vanish(vec, p, nprime, classes)
 
 
 def root_power_sum_is_zero(exponents, n: int, coefficients=None) -> bool:
@@ -427,12 +451,22 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
 
 
 def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
-    """The candidate moduli whose cyclotomic polynomial divides F, lazily."""
+    """The candidate moduli whose cyclotomic polynomial divides F, lazily.
+
+    Each distinct q = peel(n)[1] is grouped (or rejected) once per sweep.
+    """
     if mode not in ("full-sweep", "fs-pruned"):
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     k = poly.k if mode == "fs-pruned" else None
     vec = dict.fromkeys((0,) + poly.exponents, 1)
-    return (n for n in _partner_moduli(poly, k, cap) if _vanishes(vec, n))
+    classes_by_q: dict[int, dict[int, list[list[int]]] | None] = {}
+    for n in _partner_moduli(poly, k, cap):
+        p, q, nprime = peel(n)
+        if q not in classes_by_q:
+            classes_by_q[q] = _column_classes(vec, p, q)
+        classes = classes_by_q[q]
+        if classes is not None and _classes_vanish(vec, p, nprime, classes):
+            yield n
 
 
 def find_cyclotomic_factors(

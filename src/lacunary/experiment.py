@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, sqrt
+from math import sqrt
 
 from .cyclotomic import divides_phi_structural, has_cyclotomic_factor
 from .errors import InvalidParametersError, refuse_above
@@ -146,8 +146,12 @@ def exhaustive_enumeration(
         mode = mode or "full-sweep"
     elif n < 1 or mode is not None:
         raise InvalidParametersError(f"need n >= 1 and no sweep mode, got n={n}, mode={mode}")
-    total = comb(N, k)
-    refuse_above(total, f"subsets of {k} of [1, {N}]")
+    # C(N, i) grows with i up to N / 2, so C(N, min(k, N - k)) is built one
+    # factor at a time and refused as soon as a partial count passes the guard
+    total = 1
+    for i in range(min(k, N - k)):
+        total = total * (N - i) // (i + 1)
+        refuse_above(total, f"subsets of {k} of [1, {N}] (a lower bound)")
     hits = 0
     for exps in combinations(range(1, N + 1), k):
         if _hit(SparsePoly(exps, N), n, mode, None):

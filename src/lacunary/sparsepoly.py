@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import InvalidParametersError, PolyParseError
+from .errors import InvalidParametersError, PolyParseError, refuse_above
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -133,6 +133,7 @@ def reduce_mod_cyclic(poly: SparsePoly, n: int) -> CoefficientVector:
     """Residue counts of poly modulo x^n - 1 (constant term on residue 0)."""
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
+    refuse_above(n, "residue counts")
     counts = [0] * n
     counts[0] = 1
     for e in poly.exponents:

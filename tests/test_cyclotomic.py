@@ -2,10 +2,13 @@
 
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from lacunary import (
     InvalidParametersError,
@@ -25,10 +28,10 @@ from lacunary import (
 )
 from lacunary.cyclotomic import (
     _candidate_moduli,
+    _column_classes,
     _partner_moduli,
     _poly_divexact,
     _predicted_moduli,
-    _vanishes,
 )
 from lacunary.numtheory import factorize, peel, smooth_divisors, squarefree_kernel, totient
 from lacunary.sparsepoly import _Stream
@@ -391,10 +394,11 @@ MODES = ("full-sweep", "fs-pruned")
 
 
 def _reference_factors(F, mode, cap):
-    """The walk the generator replaces: _vanishes on every modulus of the range."""
-    vec = dict.fromkeys((0,) + F.exponents, 1)
+    """The walk the sweep replaces: every modulus of the range decided on its
+    own by root_power_sum_is_zero, with no grouping shared between moduli."""
+    terms = (0,) + F.exponents
     k = F.k if mode == "fs-pruned" else None
-    return [n for n in _candidate_moduli(F.N, k, cap) if _vanishes(vec, n)]
+    return [n for n in _candidate_moduli(F.N, k, cap) if root_power_sum_is_zero(terms, n)]
 
 
 def _assert_generated_is_exact(F, caps):
@@ -513,3 +517,84 @@ def test_pruned_guard_prediction_bounds_the_walk():
             assert _predicted_moduli(N, k) >= len(_candidate_moduli(N, k, None)), (k, N)
     assert _predicted_moduli(10**8, 3) == 29 * 18  # 2^a 3^b <= 3 * 10^8
     assert _predicted_moduli(10**4, None) == pytest.approx(19436)
+
+
+# --- one grouping per peel prime power ---------------------------------------------
+
+
+def _gon(p, m, shift=0):
+    """Exponents of x^shift * Phi_p(x^m): Phi_n divides it when n | p m and n does not divide m."""
+    return tuple(shift + m * t for t in range(p))
+
+
+def _product(*factors):
+    """1 + sum x^e for the product of 0,1-polynomials given by exponent tuples with 0."""
+    exps = [0]
+    for f in factors:
+        exps = [a + b for a in exps for b in f]
+    if len(set(exps)) != len(exps):
+        raise ValueError(f"product of {factors} is not a 0,1-polynomial")
+    return SparsePoly(tuple(sorted(exps))[1:], max(exps))
+
+
+# several factors per q: Phi_3(x^4) gives 3, 6, 12 (q = 3), Phi_5(x^6) gives 5, 10,
+# 15, 30 (q = 5), Phi_7(x^2) gives 7, 14 (q = 7), Phi_2(x^9) gives 2, 6, 18
+SHARED_Q = (
+    (_gon(3, 4), _gon(5, 6)),
+    (_gon(3, 4), (0, 1, 13)),
+    (_gon(7, 2), _gon(3, 15), (0, 43)),
+    (_gon(2, 9), _gon(3, 4)),
+    (_gon(5, 6), (0, 1), (0, 100)),
+)
+
+
+def test_sweep_matches_the_per_candidate_walk_on_shared_peels():
+    for factors in SHARED_Q:
+        F = _product(*factors)
+        for mode in MODES:
+            assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode, None), (factors, mode)
+            assert has_cyclotomic_factor(F, mode)
+    # in one sweep the grouping of q = 3 and of q = 5 is reused by passing
+    # moduli, and some rejected q is looked up again by later candidates
+    F = _product(*SHARED_Q[0])
+    found = find_cyclotomic_factors(F)
+    assert {3, 6, 12, 5, 10, 15, 30} <= set(found)
+    vec = dict.fromkeys((0,) + F.exponents, 1)
+    rejected = Counter(
+        peel(n)[1] for n in _partner_moduli(F, None, None) if _column_classes(vec, *peel(n)[:2]) is None
+    )
+    assert max(rejected.values()) >= 2
+
+
+def test_sweep_matches_the_per_candidate_walk_on_seeded_polynomials():
+    stream = _Stream(79, 0)
+    for i in range(33):
+        k = 3 + i % 11
+        N = k + stream.randbelow(3001 - k)
+        F = sample_random(k, N, 83, i)
+        for mode in MODES:
+            assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode, None), (k, N, i, mode)
+
+
+@st.composite
+def sparse_polys(draw):
+    """1 + sum x^e with a few random terms and up to two rotated p-gons mixed in."""
+    terms = set(draw(st.lists(st.integers(1, 600), max_size=6)))
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+        terms |= set(_gon(p, draw(st.integers(1, 40)), draw(st.integers(0, 60)))) - {0}
+    if not terms:
+        terms = {draw(st.integers(1, 600))}
+    return SparsePoly(tuple(sorted(terms)), max(terms) + draw(st.integers(0, 30)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(F=sparse_polys())
+def test_pruned_full_and_walked_sweeps_agree(F):
+    full = find_cyclotomic_factors(F, "full-sweep")
+    pruned = find_cyclotomic_factors(F, "fs-pruned")
+    assert full == _reference_factors(F, "full-sweep", None)
+    assert pruned == _reference_factors(F, "fs-pruned", None)
+    assert set(pruned) <= set(full)
+    assert has_cyclotomic_factor(F, "fs-pruned") == has_cyclotomic_factor(F, "full-sweep") == bool(full)
+    event(f"factors: {bool(full)}")

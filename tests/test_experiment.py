@@ -73,6 +73,10 @@ def test_exhaustive_guard():
         exhaustive_enumeration(20, 45)
     with pytest.raises(ResourceLimitError):  # 30,101 digits: too long for str() or a float
         exhaustive_enumeration(50000, 100000)
+    t = time.perf_counter()
+    with pytest.raises(ResourceLimitError):  # refused before C(10^6, 5 * 10^5) is computed
+        exhaustive_enumeration(500000, 10**6)
+    assert time.perf_counter() - t < 1.0
 
 
 def test_single_modulus_event_takes_no_sweep_mode():

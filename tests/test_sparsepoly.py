@@ -8,6 +8,7 @@ import pytest
 from lacunary import (
     InvalidParametersError,
     PolyParseError,
+    ResourceLimitError,
     SparsePoly,
     atom_probability,
     format_poly,
@@ -50,6 +51,8 @@ def test_reduce_mod_cyclic_examples():
     assert reduce_mod_cyclic(SparsePoly((1, 2, 3, 4, 5, 6), 6), 1).counts == (7,)
     with pytest.raises(InvalidParametersError):
         reduce_mod_cyclic(SparsePoly((1,), 2), 0)
+    with pytest.raises(ResourceLimitError):  # refused before n counts are allocated
+        reduce_mod_cyclic(SparsePoly((1, 2), 2), 10**7 + 1)
 
 
 def test_reduce_mass_and_shift():
