@@ -43,13 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("test", "detect factors for each polynomial in a file")
     p.add_argument("file", nargs="?", default=None, help="polynomial file (default stdin)")
-    p.add_argument("--N", type=int, default=None, help="degree cap override")
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
     p = command("factors", "detect factors for one polynomial")
     p.add_argument("exponents", type=int, nargs="+")
-    p.add_argument("--N", type=int, default=None)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
@@ -101,18 +99,16 @@ def _detection_record(poly: SparsePoly, mode: str, cap: int | None) -> dict:
 def _run_test(args, out) -> None:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            polys = list(read_poly_file(fh, N=args.N))
+            polys = list(read_poly_file(fh))
     else:
-        polys = list(read_poly_file(sys.stdin, N=args.N))
+        polys = list(read_poly_file(sys.stdin))
     for _, poly in polys:
         record = _detection_record(poly, args.mode, args.cap_override)
         out.write(json.dumps(record) + "\n")
 
 
 def _run_factors(args, out) -> None:
-    exps = tuple(args.exponents)
-    cap = args.N if args.N is not None else exps[-1]
-    poly = SparsePoly(exps, cap)
+    poly = SparsePoly(tuple(args.exponents), args.exponents[-1])
     record = _detection_record(poly, args.mode, args.cap_override)
     out.write(json.dumps(record) + "\n")
 

@@ -285,30 +285,22 @@ _GENERATE_KERNELS = 2**14
 
 
 @lru_cache(maxsize=256)
-def _pruned_top(N: int, k: int) -> int:
-    """floor(N * prod_{p <= k+1} p / (p - 1)): no fs-pruned modulus exceeds it.
-
-    A fs-pruned modulus n is (k+1)-smooth, and n = phi(n) * prod_{p | n} p / (p - 1).
-    """
-    num, den = N, 1
-    for p in primes_up_to(k + 1):
-        num, den = num * p, den * (p - 1)
-    return num // den
-
-
-@lru_cache(maxsize=256)
 def _predicted_moduli(N: int, k: int | None) -> float:
     """An upper estimate of a sweep's size, from N and k alone.
 
-    A fs-pruned modulus is (k+1)-smooth and at most X = _pruned_top(N, k), so
-    there are at most prod_{p <= k+1} (floor(log_p X) + 1) of them: an exact
-    bound.
+    A fs-pruned modulus n is (k+1)-smooth, and n = phi(n) * prod_{p | n} p / (p - 1),
+    so n is at most X = floor(N * prod_{p <= k+1} p / (p - 1)).  There are at
+    most prod_{p <= k+1} (floor(log_p X) + 1) of them: an exact bound.
     """
     if k is None:
         return _PHI_DENSITY * N
-    top = _pruned_top(N, k)
+    primes = primes_up_to(k + 1)
+    num, den = N, 1
+    for p in primes:
+        num, den = num * p, den * (p - 1)
+    top = num // den
     smooth = 1
-    for p in primes_up_to(k + 1):
+    for p in primes:
         powers, q = 1, p
         while q <= top:
             powers, q = powers + 1, q * p
@@ -333,22 +325,22 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
     """
     _guard(N, k, cap)
     top = inf if cap is None else cap
-    members = None if k is None else set(admissible_kernels(k).members)
+    budget = inf if k is None else k - 1  # the Conway-Jones cost sum_{p | n} (p - 2)
     primes = primes_up_to(min(N + 1, top) if k is None else min(N + 1, top, k + 1))
     found = []
 
-    def walk(start: int, n: int, phi: int, rad: int) -> None:
+    def walk(start: int, n: int, phi: int, cost: int) -> None:
         for i in range(start, len(primes)):
             p = primes[i]
             m, f = n * p, phi * (p - 1)
-            if f > N or m > top or (members is not None and rad * p not in members):
-                break  # all three only fail more as p grows (a prime costs p - 2)
+            if f > N or m > top or cost + p - 2 > budget:
+                break  # all three only fail more as p grows
             while f <= N and m <= top:
                 found.append(m)
-                walk(i + 1, m, f, rad * p)
+                walk(i + 1, m, f, cost + p - 2)
                 m, f = m * p, f * p
 
-    walk(0, 1, 1, 1)
+    walk(0, 1, 1, 0)
     return tuple(sorted(found))
 
 
@@ -361,26 +353,19 @@ def _largest_modulus(N: int) -> int:
     ... while phi * prod (p - 1) <= N: the j-th new prime is at least
     p_{i+j}, so no extension has more primes or a larger ratio.  The bound
     only falls as i grows, so a node stops at the first i it cannot beat.
-    Primes are sieved on demand: up to N = 10^6 no node looks past 179.
+    A walk that looks past the sieved primes sieves twice as far and starts
+    again: up to N = 10^6 no node looks past 179.
     """
-    primes = primes_up_to(64)
-    best = 1
-
-    def prime(j: int) -> int:
-        nonlocal primes
-        while j >= len(primes):
-            primes = primes_up_to(2 * primes[-1])
-        return primes[j]
 
     def walk(i: int, n: int, phi: int) -> None:
         nonlocal best
-        while phi * (prime(i) - 1) <= N:
+        while phi * (primes[i] - 1) <= N:
             f, num, j = phi, n * N, i
-            while f * (prime(j) - 1) <= N:
-                f, num, j = f * (prime(j) - 1), num * prime(j), j + 1
+            while f * (primes[j] - 1) <= N:
+                f, num, j = f * (primes[j] - 1), num * primes[j], j + 1
             if num // f <= best:
                 return
-            p = prime(i)
+            p = primes[i]
             m, f = n * p, phi * (p - 1)
             while f <= N:
                 best = max(best, m)
@@ -388,8 +373,14 @@ def _largest_modulus(N: int) -> int:
                 m, f = m * p, f * p
             i += 1
 
-    walk(0, 1, 1)
-    return best
+    limit = 64
+    while True:
+        primes, best = primes_up_to(limit), 1
+        try:
+            walk(0, 1, 1)
+            return best
+        except IndexError:
+            limit *= 2
 
 
 def sweep_cap(N: int) -> int:
@@ -427,11 +418,10 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
     kernels = _partner_kernels(poly.k)
     if kernels is None:
         return _candidate_moduli(N, k, cap)
-    top = _largest_modulus(N) if k is None else _pruned_top(N, k)
-    if cap is not None:
-        top = min(top, cap)
+    # every modulus of the range, pruned or not, has phi(n) <= N
+    top = _largest_modulus(N) if cap is None else min(_largest_modulus(N), cap)
     bound = N + 1 if k is None else k + 1
-    products = {}
+    seen, moduli = set(), []
     for e in poly.exponents:
         for g, phi_g, rad_g in smooth_divisors(e, bound):
             rest = e // g
@@ -439,13 +429,11 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
                 n = g * m
                 if n > top:
                     break
-                if rest % m and n not in products:
-                    products[n] = (phi_g, rad_g, m)
-    moduli = []
-    for n, (phi_g, rad_g, m) in products.items():
-        d = gcd(rad_g, m)
-        if phi_g * d * kernels[m // d] <= N and (k is None or rad_g * (m // d) in kernels):
-            moduli.append(n)
+                if rest % m and n not in seen:
+                    seen.add(n)
+                    d = gcd(rad_g, m)
+                    if phi_g * d * kernels[m // d] <= N and (k is None or rad_g * (m // d) in kernels):
+                        moduli.append(n)
     moduli.sort()
     return moduli
 

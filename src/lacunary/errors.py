@@ -4,9 +4,11 @@ Each error carries the process exit code the CLI maps it to, so the
 mapping lives in one place and stays stable; so does the guard on work.
 """
 
-from decimal import Decimal
+from decimal import ROUND_CEILING, Context
 
 _WORK_GUARD = 10**7
+# three significant digits rounded up, so a refused amount never prints as the guard
+_ROUND_UP = Context(prec=3, rounding=ROUND_CEILING)
 
 
 class LacunaryError(Exception):
@@ -38,5 +40,5 @@ class InvalidParametersError(LacunaryError):
 def refuse_above(predicted, what: str) -> None:
     """Raise ResourceLimitError when predicted work exceeds the guard; nothing is computed."""
     if predicted > _WORK_GUARD:
-        amount = Decimal(predicted)  # an exact subset count can overflow a float
+        amount = _ROUND_UP.create_decimal(predicted)  # an exact subset count can overflow a float
         raise ResourceLimitError(f"{amount:.3g} predicted {what} exceed guard {_WORK_GUARD:g}")

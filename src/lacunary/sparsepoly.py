@@ -8,7 +8,8 @@ probability of a given count vector and its multinomial idealization are
 computed in rational arithmetic.
 
 Text format (shared by the CLI): one polynomial per line, ascending
-exponents separated by whitespace, '#' starts a comment line.
+exponents separated by whitespace, '#' starts a comment line; a line's degree
+cap is its largest exponent.
 """
 
 from dataclasses import dataclass
@@ -186,8 +187,8 @@ def multinomial_weight(c: Sequence[int], k: int, n: int) -> Fraction:
 # --- text format -------------------------------------------------------------
 
 
-def parse_poly_line(line: str, lineno: int | None = None, N: int | None = None) -> SparsePoly:
-    """Parse one line of the shared text format into a SparsePoly."""
+def parse_poly_line(line: str, lineno: int | None = None) -> SparsePoly:
+    """Parse one line of the shared text format into a SparsePoly capped at its degree."""
     fields = line.split()
     try:
         exps = tuple(int(f) for f in fields)
@@ -195,20 +196,19 @@ def parse_poly_line(line: str, lineno: int | None = None, N: int | None = None) 
         raise PolyParseError(f"non-integer exponent in line {lineno}: {line!r}", lineno)
     if not exps:
         raise PolyParseError(f"empty polynomial line {lineno}", lineno)
-    cap = N if N is not None else exps[-1]
     try:
-        return SparsePoly(exps, cap)
+        return SparsePoly(exps, exps[-1])
     except InvalidParametersError as exc:
         raise PolyParseError(f"line {lineno}: {exc}", lineno) from exc
 
 
-def read_poly_file(stream: TextIO | Iterable[str], N: int | None = None) -> Iterator[tuple[int, SparsePoly]]:
+def read_poly_file(stream: TextIO | Iterable[str]) -> Iterator[tuple[int, SparsePoly]]:
     """Yield (lineno, SparsePoly) from a stream, skipping comments and blanks."""
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, parse_poly_line(line, lineno, N)
+        yield lineno, parse_poly_line(line, lineno)
 
 
 def format_poly(poly: SparsePoly) -> str:

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary import total_bound
 from lacunary.cli import main
@@ -54,8 +59,40 @@ def test_test_command_parse_error_names_line(tmp_path, capsys):
     assert payload["line"] == 2
 
 
+# one malformed line of each kind: non-integer, descending, repeated, zero exponent
+MALFORMED = ("3 x 7", "5 4", "2 2", "0 3")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    before=st.lists(st.sampled_from(("1 2", "1 3", "# comment", "", "  4 9  ")), max_size=8),
+    bad=st.sampled_from(MALFORMED),
+    after=st.lists(st.sampled_from(("1 2", "x", "# comment")), max_size=3),
+)
+def test_test_command_names_the_malformed_line(before, bad, after):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "polys.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([*before, bad, *after]) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["test", path])
+    assert code == 2 and out.getvalue() == ""
+    payload = json.loads(err.getvalue())
+    assert payload["error"] == "PolyParseError"
+    assert payload["line"] == len(before) + 1
+
+
+@pytest.mark.parametrize("argv", [["factors", "5", "--N", "5"], ["test", "--N", "5"]])
+def test_degree_cap_is_not_a_flag(argv, capsys):
+    # a factor list does not depend on any cap at or above the degree
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_factors_command(capsys):
-    code, out, _ = run_cli(["factors", "5", "--N", "5"], capsys)
+    code, out, _ = run_cli(["factors", "5"], capsys)
     assert code == 0
     rec = json.loads(out)
     assert rec["factors"] == [2, 10]
@@ -68,7 +105,7 @@ def test_factors_pruned_mode_records_mode(capsys):
 
 
 def test_cap_override_limits_sweep(capsys):
-    code, out, _ = run_cli(["factors", "5", "--N", "5", "--cap-override", "9"], capsys)
+    code, out, _ = run_cli(["factors", "5", "--cap-override", "9"], capsys)
     rec = json.loads(out)
     assert rec["factors"] == [2]  # 10 is beyond the overridden cap
 
@@ -183,6 +220,14 @@ def test_pruned_decay_at_large_degree_is_not_refused(capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["3", "5"]
+
+
+def test_pruned_decay_at_large_k_is_not_refused(capsys):
+    # k = 300 admits over 10^6 kernels, but the sweep at N = 1000 has under 2,000 moduli
+    argv = ["decay", "--k-list", "300", "--N", "1000", "--trials", "10", "--workers", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert out.strip().split("\n")[1].startswith("300,1000,any,monte-carlo:fs-pruned,10,")
 
 
 def test_decay_command(capsys):

@@ -29,6 +29,7 @@ from lacunary import (
 from lacunary.cyclotomic import (
     _candidate_moduli,
     _column_classes,
+    _largest_modulus,
     _partner_moduli,
     _poly_divexact,
     _predicted_moduli,
@@ -254,6 +255,14 @@ def test_sweep_cap_small():
         sweep_cap(0)
 
 
+def test_sweep_cap_past_the_first_sieve():
+    # the branch and bound sieves primes to 64 and, when a node looks further,
+    # sieves twice as far and walks again: 5,000 needs 128, 10^6 256, 10^9 1,024
+    assert sweep_cap(5000) == 23100
+    assert sweep_cap(10**6) == 5290740
+    assert _largest_modulus(10**9) == 6023507490  # above the guard for sweep_cap
+
+
 def test_sweep_cap_against_brute_force():
     # trial-division totients over a range far past the answer
     from oracles import brute_sweep_max
@@ -288,6 +297,27 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
                 if f <= N and squarefree_kernel(n) in members
             )
             assert _candidate_moduli(N, k, None) == expect, (k, N)
+    # k = 300 admits more kernels than admissible_kernels will list; the walk
+    # charges each prime its Conway-Jones cost p - 2 instead
+    for k in (40, 130, 300):
+        for N in (30, 60):
+            expect = tuple(
+                n for n, f in sorted(phi_to_60.items())
+                if f <= N and 2 + sum(p - 2 for p, _ in factorize(n)) <= k + 1
+            )
+            assert _candidate_moduli(N, k, None) == expect, (k, N)
+
+
+def test_pruned_sweep_at_large_k_agrees_with_the_full_sweep():
+    # fs-pruned at k = 300 once listed every admissible kernel first and was refused
+    polys = [sample_random(300, 1000, 89, i) for i in range(4)]
+    polys.append(SparsePoly(tuple(range(1, 301)), 1000))  # (x^301 - 1) / (x - 1)
+    for F in polys:
+        full = find_cyclotomic_factors(F, "full-sweep")
+        pruned = find_cyclotomic_factors(F, "fs-pruned")
+        assert set(pruned) <= set(full)
+        assert has_cyclotomic_factor(F, "fs-pruned") == bool(pruned) == bool(full)
+    assert pruned == full == [7, 43, 301]
 
 
 def test_sweep_cap_by_branch_and_bound_is_the_last_of_the_range():
@@ -598,3 +628,14 @@ def test_pruned_full_and_walked_sweeps_agree(F):
     assert set(pruned) <= set(full)
     assert has_cyclotomic_factor(F, "fs-pruned") == has_cyclotomic_factor(F, "full-sweep") == bool(full)
     event(f"factors: {bool(full)}")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(F=sparse_polys(), extra=st.integers(1, 10**4))
+def test_factors_do_not_depend_on_the_cap_above_the_degree(F, extra):
+    # Phi_n | F forces phi(n) <= deg F, so a degree cap above deg F adds only
+    # moduli that cannot divide F
+    at_degree = SparsePoly(F.exponents, F.degree)
+    above = SparsePoly(F.exponents, F.degree + extra)
+    for mode in MODES:
+        assert find_cyclotomic_factors(above, mode) == find_cyclotomic_factors(at_degree, mode)

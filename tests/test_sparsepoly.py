@@ -4,6 +4,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary import (
     InvalidParametersError,
@@ -53,6 +55,13 @@ def test_reduce_mod_cyclic_examples():
         reduce_mod_cyclic(SparsePoly((1,), 2), 0)
     with pytest.raises(ResourceLimitError):  # refused before n counts are allocated
         reduce_mod_cyclic(SparsePoly((1, 2), 2), 10**7 + 1)
+
+
+def test_refusal_just_above_the_guard_prints_above_it():
+    # three significant digits rounded up: 10^7 + 1 must not read as 1.00e+7
+    with pytest.raises(ResourceLimitError) as exc:
+        reduce_mod_cyclic(SparsePoly((1, 2), 2), 10**7 + 1)
+    assert str(exc.value) == "1.01e+7 predicted residue counts exceed guard 1e+07"
 
 
 def test_reduce_mass_and_shift():
@@ -175,6 +184,14 @@ def test_parse_and_format_roundtrip():
     p = parse_poly_line("3 5 11", 1)
     assert p.exponents == (3, 5, 11) and p.N == 11
     assert format_poly(p) == "3 5 11"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(exps=st.sets(st.integers(1, 10**12), min_size=1, max_size=20), pad=st.integers(0, 100))
+def test_parse_inverts_format(exps, pad):
+    # a parsed line is capped at its degree, whatever cap the formatted polynomial had
+    p = SparsePoly(tuple(sorted(exps)), max(exps) + pad)
+    assert parse_poly_line(format_poly(p)) == SparsePoly(p.exponents, p.degree)
 
 
 def test_read_poly_file():
