@@ -8,30 +8,20 @@ bounds, and seeded Monte Carlo / exhaustive experiments.
 from .bounds import (
     BoundBreakdown,
     BoundRow,
-    CandidateSet,
-    SquarefreeRecursion,
     admissible_kernels,
-    central_atom,
-    chernoff_binomial,
     chernoff_tail_bound,
     default_exponent_constant,
-    large_n_bound,
     lattice_ball_bound,
-    midrange_bound,
     small_n_exact,
-    squarefree_bound_recursion,
     total_bound,
 )
 from .cyclotomic import (
     DensePoly,
-    SplitSums,
-    conway_jones_split,
     cyclotomic_poly,
     divides_phi_dense,
     divides_phi_structural,
     find_cyclotomic_factors,
     has_cyclotomic_factor,
-    part_vanishes,
     root_power_sum_is_zero,
     sweep_cap,
 )

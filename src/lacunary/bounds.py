@@ -1,30 +1,25 @@
 """Evaluable probability bounds for cyclotomic divisibility of sparse polynomials.
 
-Each function turns one displayed inequality into a number.  All logs are
-natural; fractional factorials go through log-Gamma.  Values reported in a
-breakdown are clipped to [0, 1] with the raw value retained, since the
-underlying inequalities are asymptotic and raw values above 1 still carry
-trend information.
+`total_bound` sums per-range bounds over the moduli, and each displayed
+inequality it uses is coded once, in the function its row calls.
+`admissible_kernels` lists the squarefree kernels that the term-count test
+allows; the sweeps in `cyclotomic` generate their moduli from them.  All
+logs are natural; fractional factorials go through log-Gamma.  Values
+reported in a breakdown are clipped to [0, 1] with the raw value retained,
+since the underlying inequalities are asymptotic and raw values above 1
+still carry trend information.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, lgamma, log, pi, sqrt
+from math import exp, isfinite, lgamma, log, pi, sqrt
 
 from .errors import InvalidParametersError, ResourceLimitError
-from .numtheory import is_squarefree, primes_up_to, totient, totient_sieve
+from .numtheory import primes_up_to, totient, totient_sieve
 from .sparsepoly import multinomial_weight
 
 _KERNEL_ENUM_GUARD = 10**6
 _MIDRANGE_SUM_GUARD = 10**6
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Squarefree moduli admissible for k terms: 2 + sum of (p-2) <= k+1."""
-
-    k: int
-    members: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -44,26 +39,7 @@ class BoundBreakdown:
     total: float  # sum of the clipped row values
 
 
-@dataclass(frozen=True)
-class SquarefreeRecursion:
-    """Partial sums, interval bounds, and the closing scale of the kernel bound."""
-
-    c_values: tuple[int, ...]
-    b_values: tuple[int, ...]
-    log_scale: float
-    scale: float
-
-
-def chernoff_binomial(trials: int, p: float, delta: float) -> float:
-    """Two-sided Chernoff bound 2 exp(-delta^2 * mean / 3) for Bin(trials, p)."""
-    if not 0 < p <= 1 or not 0 < delta < 1:
-        raise InvalidParametersError("need 0 < p <= 1 and 0 < delta < 1")
-    if trials < 1:
-        raise InvalidParametersError("trials must be >= 1")
-    return 2.0 * exp(-delta * delta * trials * p / 3.0)
-
-
-def admissible_kernels(k: int, limit: int = _KERNEL_ENUM_GUARD) -> CandidateSet:
+def admissible_kernels(k: int, limit: int = _KERNEL_ENUM_GUARD) -> tuple[int, ...]:
     """All squarefree m with 2 + sum_{p | m}(p - 2) <= k + 1, exhaustively.
 
     The prime condition forces p <= k + 1, so the enumeration is complete.
@@ -86,7 +62,7 @@ def admissible_kernels(k: int, limit: int = _KERNEL_ENUM_GUARD) -> CandidateSet:
             dfs(j + 1, prod * primes[j], used + cost)
 
     dfs(0, 1, 0)
-    return CandidateSet(k, tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 def max_admissible_kernel_log(k: int) -> float:
@@ -115,56 +91,6 @@ def default_exponent_constant(k: int) -> float:
     if k < 2:
         raise InvalidParametersError("need k >= 2")
     return max_admissible_kernel_log(k) / (sqrt(k) * log(k))
-
-
-def squarefree_bound_recursion(k: int) -> SquarefreeRecursion:
-    """Interval sums C_l, per-interval products bounds B_l, and the closing scale.
-
-    C_l partial-sums 7, 8, 9, ... while below 7k/5; B_0 = 7 and
-    B_l = 2^l * prod_{j=1}^{l+1} (6 + j).  The closing scale is
-    2^{2 sqrt k} * (2 sqrt k)!, reported without its unspecified constant
-    factor (log form is always finite).
-    """
-    if k < 1:
-        raise InvalidParametersError(f"term count must be >= 1, got {k}")
-    limit = 7.0 * k / 5.0
-    c_values = []
-    total = 0
-    l = 1
-    while True:
-        total += 6 + l
-        if total >= limit:
-            break
-        c_values.append(total)
-        l += 1
-    b_values = [7]
-    prod = 7
-    for l in range(1, len(c_values) + 1):
-        prod *= 6 + (l + 1)
-        b_values.append((1 << l) * prod)
-    root = 2.0 * sqrt(k)
-    log_scale = root * log(2.0) + lgamma(root + 1.0)
-    try:
-        scale = exp(log_scale)
-    except OverflowError:
-        scale = float("inf")
-    return SquarefreeRecursion(tuple(c_values), tuple(b_values), log_scale, scale)
-
-
-def central_atom(k: int, n: int) -> float:
-    """Largest multinomial weight: k! / Gamma(k/n + 1)^n / n^k.
-
-    Exact integer arithmetic when n divides k, log-Gamma otherwise.
-    """
-    if k < 1 or n < 1:
-        raise InvalidParametersError("need k >= 1 and n >= 1")
-    if k % n == 0:
-        return float(multinomial_weight((k // n,) * n, k, n))
-    return exp(_log_central_atom(k, n))
-
-
-def _log_central_atom(k: int, n: int) -> float:
-    return lgamma(k + 1) - n * lgamma(k / n + 1) - k * log(n)
 
 
 def small_n_exact(k: int, n: int, convention: str = "shifted", asymptotic: bool = False):
@@ -210,21 +136,16 @@ def ball_volume_log(dim: int, radius: float) -> float:
 
 
 def lattice_ball_bound(k: int, n: int) -> float:
-    """Central atom times the lattice-point count of the concentration ball.
-
-    Clipped to [0, 1]; see _lattice_ball_raw for the unclipped value.
-    """
-    return min(1.0, _lattice_ball_raw(k, n))
-
-
-def _lattice_ball_raw(k: int, n: int) -> float:
+    """Central atom k! / Gamma(k/n + 1)^n / n^k times the lattice-point count
+    of the concentration ball, clipped to [0, 1]."""
     if n < 7:
         raise InvalidParametersError(f"lattice ball bound needs n >= 7, got {n}")
     if k < 2:
         raise InvalidParametersError(f"need k >= 2, got {k}")
     rank = n - totient(n)
-    v = _log_central_atom(k, n) + ball_volume_log(rank, 2.1 * sqrt(k) * log(k))
-    return exp(v) if v < 700 else float("inf")
+    v = lgamma(k + 1) - n * lgamma(k / n + 1) - k * log(n)
+    v += ball_volume_log(rank, 2.1 * sqrt(k) * log(k))
+    return exp(min(v, 0.0))
 
 
 def chernoff_tail_bound(k: int) -> float:
@@ -237,23 +158,12 @@ def chernoff_tail_bound(k: int) -> float:
     return 2.0 * k * k * exp(-log(k) ** 2 / 3.0)
 
 
-def midrange_bound(k: int, n: int) -> tuple[float, float]:
-    """(low-count tail, heaviest-atom bound) for the mid-size modulus range.
-
-    The tail bounds the chance that fewer than half the expected terms land
-    on the low-degree residues; the atom bound caps the conditional hit
-    probability through the heaviest multinomial atom with m = k phi(n)/(2n)
-    trials on phi(n) outcomes (log-Gamma for fractional m).
-    """
-    if k < 1 or n < 1:
-        raise InvalidParametersError("need k >= 1 and n >= 1")
-    phi = totient(n)
-    k_tail = exp(-k * phi / (12.0 * n))
-    return k_tail, _midrange_atom(k, n, phi)
-
-
 def _midrange_atom(k: int, n: int, phi: int) -> float:
-    """Heaviest-atom bound of midrange_bound, given phi = phi(n)."""
+    """Heaviest-atom bound for one mid-range modulus n, given phi = phi(n).
+
+    Caps the hit probability through the heaviest multinomial atom with
+    m = k phi(n) / (2n) trials on phi(n) outcomes.
+    """
     # Gaussian form above m = phi, log-Gamma form below, the larger at the tie
     m = k * phi / (2.0 * n)
     if m >= phi:
@@ -262,28 +172,6 @@ def _midrange_atom(k: int, n: int, phi: int) -> float:
         small = lgamma(m + 1.0) - m * log(phi) if phi > 1 else 0.0
         log_atom = small if m < phi else max(log_atom, small)
     return exp(log_atom) if log_atom < 700 else float("inf")
-
-
-def large_n_bound(k: int, n: int, kernel: int) -> tuple[float, float]:
-    """(three-exponent bound k^3/b^2, paired-exponent bound k!/(k/2)! b^{-k/2}).
-
-    kernel must be the squarefree part of n; b = n / kernel is the split
-    modulus.  Both values clip to 1 (vacuous) when b = 1.
-    """
-    if k < 1:
-        raise InvalidParametersError(f"need k >= 1, got {k}")
-    if kernel < 1 or n % kernel or not is_squarefree(kernel):
-        raise InvalidParametersError(
-            f"kernel {kernel} must be a squarefree divisor of {n}"
-        )
-    b = n // kernel
-    if b == 1:
-        return 1.0, 1.0
-    log_three = 3.0 * log(k) - 2.0 * log(b)
-    log_two = lgamma(k + 1.0) - lgamma(k / 2.0 + 1.0) - (k / 2.0) * log(b)
-    three = exp(log_three) if log_three < 700 else float("inf")
-    two = exp(log_two) if log_two < 700 else float("inf")
-    return min(1.0, three), min(1.0, two)
 
 
 def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
@@ -296,6 +184,8 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
     """
     if k < 8:
         raise InvalidParametersError(f"need k >= 8, got {k}")
+    if c is not None and not isfinite(c):  # a nan or infinite c bounds nothing
+        raise InvalidParametersError(f"kernel-size exponent constant must be finite, got {c}")
     lnk = log(k)
     b1 = max(6, int(k / exp(sqrt(lnk))))
     log_b2 = k / (24.0 * lnk)

@@ -119,11 +119,11 @@ def _run_basis(args, out) -> None:
 
 
 def _run_candidates(args, out) -> None:
-    cs = admissible_kernels(args.k)
+    members = admissible_kernels(args.k)
     if args.format == "json":
-        out.write(json.dumps({"k": cs.k, "members": list(cs.members)}) + "\n")
+        out.write(json.dumps({"k": args.k, "members": list(members)}) + "\n")
     else:
-        out.write(",".join(str(m) for m in cs.members) + "\n")
+        out.write(",".join(str(m) for m in members) + "\n")
 
 
 def _run_bounds(args, out) -> None:

@@ -78,15 +78,6 @@ class DensePoly:
         return len(self.coefficients) - 1 if self.coefficients else -1
 
 
-@dataclass(frozen=True)
-class SplitSums:
-    """Exponents of F mod (x^n - 1) grouped by residue class modulo b."""
-
-    n: int
-    b: int
-    parts: tuple[tuple[int, ...], ...]
-
-
 # --- dense algorithm ---------------------------------------------------------
 
 
@@ -247,32 +238,6 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
     return root_power_sum_is_zero((0,) + poly.exponents, n)
 
 
-# --- splitting into smaller vanishing sums ------------------------------------
-
-
-def conway_jones_split(poly: SparsePoly, n: int, b: int) -> SplitSums:
-    """Group the terms of F (constant term as exponent 0) by residue mod b.
-
-    Since b divides n, the grouping agrees with grouping the reduced
-    exponents of F mod (x^n - 1); parts keep the original exponents.  When
-    b = n / squarefree_kernel(n) and the n-th cyclotomic polynomial divides
-    F, every part is itself a vanishing sum at a primitive n-th root of
-    unity.  For other divisors b no vanishing claim is made.
-    """
-    if b < 1 or n < 1 or n % b != 0:
-        raise InvalidParametersError(f"split modulus {b} must divide {n}")
-    parts: list[list[int]] = [[] for _ in range(b)]
-    parts[0].append(0)
-    for e in poly.exponents:
-        parts[e % b].append(e)
-    return SplitSums(n, b, tuple(tuple(sorted(part)) for part in parts))
-
-
-def part_vanishes(split: SplitSums, i: int) -> bool:
-    """Exact evaluation of one part of a split at a primitive n-th root."""
-    return root_power_sum_is_zero(split.parts[i], split.n)
-
-
 # --- candidate sweep -----------------------------------------------------------
 
 # F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
@@ -354,7 +319,8 @@ def _largest_modulus(N: int) -> int:
     p_{i+j}, so no extension has more primes or a larger ratio.  The bound
     only falls as i grows, so a node stops at the first i it cannot beat.
     A walk that looks past the sieved primes sieves twice as far and starts
-    again: up to N = 10^6 no node looks past 179.
+    again.  Up to N = 10^6 most walks stop at primes to 64, 128 or 256;
+    14,181 N need 512, the first N = 12,094, and none needs more.
     """
 
     def walk(i: int, n: int, phi: int) -> None:
@@ -395,7 +361,7 @@ def sweep_cap(N: int) -> int:
 def _partner_kernels(k: int) -> dict[int, int] | None:
     """Admissible kernels for k terms as {m: phi(m)} ascending, or None when too many."""
     try:
-        members = admissible_kernels(k, _GENERATE_KERNELS).members
+        members = admissible_kernels(k, _GENERATE_KERNELS)
     except ResourceLimitError:
         return None
     return {m: totient(m) for m in members}

@@ -66,7 +66,7 @@ Fincke-Pohst nodes from the LDL of the whole basis, taken at the moved anchor.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, floor, isfinite, lcm, log, sqrt
+from math import ceil, exp, floor, inf, isfinite, lcm, log, sqrt
 
 from .bounds import ball_volume_log
 from .errors import InvalidParametersError, refuse_above
@@ -269,7 +269,8 @@ def volume_count_bound(basis: RelationBasis, radius: float) -> float:
         raise InvalidParametersError(f"radius must be >= 0, got {radius}")
     r = basis.rank
     inflated = radius + mesh_max_length(basis)
-    return exp(ball_volume_log(r, inflated) - 0.5 * log(basis.gram_det))
+    v = ball_volume_log(r, inflated) - 0.5 * log(basis.gram_det)
+    return exp(v) if v < 700 else inf
 
 
 def _homogeneous_ldl(gram, w, s0):
@@ -306,7 +307,8 @@ def _predicted_nodes(d, radius_sq: float) -> float:
     logprod = 0.0
     for m in range(1, r):
         logprod += 0.5 * log(d[r - m])
-        work += exp(ball_volume_log(m, rad) - logprod) if rad > 0 else 1.0
+        v = ball_volume_log(m, rad) - logprod if rad > 0 else 0.0
+        work += exp(v) if v < 700 else inf
     return work
 
 

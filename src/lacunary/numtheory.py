@@ -79,10 +79,6 @@ def squarefree_kernel(n: int) -> int:
     return r
 
 
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n))
-
-
 def omega(n: int) -> int:
     """Number of distinct prime factors."""
     return len(factorize(n))

@@ -147,8 +147,8 @@ def test_acceptance_4_small_n_asymptotic():
 
 def test_acceptance_5_kernel_candidates_and_pruned_sweep():
     sets_ok = (
-        admissible_kernels(4).members == (1, 2, 3, 5, 6, 10)
-        and admissible_kernels(1).members == (1, 2)
+        admissible_kernels(4) == (1, 2, 3, 5, 6, 10)
+        and admissible_kernels(1) == (1, 2)
     )
     from itertools import combinations
 

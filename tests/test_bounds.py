@@ -9,18 +9,14 @@ import pytest
 from lacunary import (
     InvalidParametersError,
     admissible_kernels,
-    central_atom,
-    chernoff_binomial,
     chernoff_tail_bound,
     default_exponent_constant,
-    large_n_bound,
     lattice_ball_bound,
-    midrange_bound,
     multinomial_weight,
     small_n_exact,
-    squarefree_bound_recursion,
     total_bound,
 )
+from lacunary.bounds import _midrange_atom
 from lacunary.numtheory import totient
 
 from oracles import multinomial_relation_probability
@@ -28,36 +24,18 @@ from oracles import multinomial_relation_probability
 mpmath.mp.dps = 40
 
 
-# --- Chernoff ---------------------------------------------------------------------
-
-
-def test_chernoff_binomial_examples():
-    assert chernoff_binomial(24, 0.5, 0.5) == pytest.approx(2 * exp(-1))
-    assert chernoff_binomial(1000, 0.4, 0.5) == pytest.approx(2 * exp(-100 / 3))
-    # the bound trivializes toward 2 as delta -> 0
-    assert chernoff_binomial(100, 0.5, 1e-9) == pytest.approx(2.0)
-
-
-def test_chernoff_binomial_validation():
-    for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(InvalidParametersError):
-            chernoff_binomial(10, 0.5, bad)
-    with pytest.raises(InvalidParametersError):
-        chernoff_binomial(10, 0.0, 0.5)
-
-
 # --- admissible kernels -------------------------------------------------------------
 
 
 def test_kernel_examples():
-    assert admissible_kernels(1).members == (1, 2)
-    assert admissible_kernels(2).members == (1, 2, 3, 6)
-    assert admissible_kernels(4).members == (1, 2, 3, 5, 6, 10)
+    assert admissible_kernels(1) == (1, 2)
+    assert admissible_kernels(2) == (1, 2, 3, 6)
+    assert admissible_kernels(4) == (1, 2, 3, 5, 6, 10)
 
 
 def test_kernels_downward_closed():
     for k in (3, 5, 8, 12):
-        members = set(admissible_kernels(k).members)
+        members = set(admissible_kernels(k))
         for m in members:
             for d in range(1, m + 1):
                 if m % d == 0:
@@ -68,7 +46,7 @@ def test_kernels_complete_by_brute_force():
     # independent re-derivation: every squarefree m up to the max must be in
     # the set exactly when its prime condition holds
     for k in (1, 2, 4, 6, 9):
-        members = set(admissible_kernels(k).members)
+        members = set(admissible_kernels(k))
         top = max(members)
         for m in range(1, top + 1):
             fac = []
@@ -95,29 +73,8 @@ def test_default_constant_matches_kernel_max():
     for k in (4, 9, 13, 20):
         c = default_exponent_constant(k)
         assert exp(c * sqrt(k) * log(k)) == pytest.approx(
-            max(admissible_kernels(k).members), rel=1e-9
+            max(admissible_kernels(k)), rel=1e-9
         )
-
-
-# --- squarefree recursion ------------------------------------------------------------
-
-
-def test_squarefree_recursion_values():
-    rec = squarefree_bound_recursion(40)
-    assert rec.c_values[:3] == (7, 15, 24)
-    assert rec.b_values[0] == 7
-    assert rec.b_values[1] == 2 * 7 * 8
-    assert rec.b_values[2] == 4 * 7 * 8 * 9
-    # closing scale 2^{2 sqrt k} (2 sqrt k)! in log form
-    root = 2 * sqrt(40)
-    assert rec.log_scale == pytest.approx(root * log(2) + lgamma(root + 1))
-    assert rec.scale == pytest.approx(exp(rec.log_scale))
-
-
-def test_squarefree_recursion_c_limit():
-    rec = squarefree_bound_recursion(10)
-    assert all(c < 7 * 10 / 5 for c in rec.c_values)
-    assert len(rec.b_values) == len(rec.c_values) + 1
 
 
 # --- small n --------------------------------------------------------------------------
@@ -163,24 +120,6 @@ def test_small_n_validation():
 
 
 # --- central atom and the lattice-ball bound ---------------------------------------
-
-
-def test_central_atom_exact_on_divisible():
-    assert central_atom(4, 2) == 0.375
-    for k, n in [(6, 3), (12, 4), (10, 5)]:
-        assert central_atom(k, n) == float(multinomial_weight((k // n,) * n, k, n))
-
-
-def test_central_atom_loggamma_branch_against_high_precision():
-    for k, n in [(7, 2), (10, 3), (100, 7), (255, 4), (1000, 9)]:
-        assert k % n
-        with mpmath.workdps(30):
-            expected = (
-                mpmath.factorial(k)
-                / mpmath.gamma(mpmath.mpf(k) / n + 1) ** n
-                / mpmath.mpf(n) ** k
-            )
-        assert central_atom(k, n) == pytest.approx(float(expected), rel=1e-11)
 
 
 def test_loggamma_matches_factorial_to_twelve_digits():
@@ -242,15 +181,11 @@ def test_chernoff_tail_values():
 
 
 def test_midrange_values():
-    k_tail, atom = midrange_bound(1000, 10)
-    assert k_tail == pytest.approx(exp(-100 / 3))
-    assert atom > 0
+    assert _midrange_atom(1000, 10, totient(10)) > 0
     k, n = 10**4, 10**3
     phi = totient(n)
     m = k * phi / (2 * n)
-    k_tail, atom = midrange_bound(k, n)
-    assert k_tail == pytest.approx(exp(-k * phi / (12 * n)))
-    assert atom == pytest.approx(sqrt(m) / sqrt(2 * pi) ** (phi - 1))
+    assert _midrange_atom(k, n, phi) == pytest.approx(sqrt(m) / sqrt(2 * pi) ** (phi - 1))
 
 
 def test_midrange_boundary_takes_max():
@@ -258,27 +193,10 @@ def test_midrange_boundary_takes_max():
     k, n = 20, 10
     phi = totient(n)
     assert k * phi / (2 * n) == phi
-    _, atom = midrange_bound(k, n)
+    atom = _midrange_atom(k, n, phi)
     big = sqrt(phi) / sqrt(2 * pi) ** (phi - 1)
     small = exp(lgamma(phi + 1) - phi * log(phi))
     assert atom == pytest.approx(max(big, small))
-
-
-def test_large_n_values():
-    three, two = large_n_bound(10, 2**20 * 3, 6)
-    b = 2**20 * 3 // 6
-    assert three == pytest.approx(1000 / b**2)
-    assert large_n_bound(7, 42, 42) == (1.0, 1.0)  # b = 1 clips both
-    _, two = large_n_bound(20, 10**6 * 2, 2)
-    b = 10**6
-    assert two == pytest.approx(factorial(20) / factorial(10) / b**10)
-
-
-def test_large_n_validation():
-    with pytest.raises(InvalidParametersError):
-        large_n_bound(10, 12, 5)  # 5 does not divide 12
-    with pytest.raises(InvalidParametersError):
-        large_n_bound(10, 12, 4)  # 4 is not squarefree
 
 
 # --- assembled breakdown -------------------------------------------------------------

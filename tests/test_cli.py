@@ -159,6 +159,15 @@ def test_bounds_command_json_mirrors_total_bound(capsys):
     assert rec["rows"][-1]["n_hi"] == "inf"
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_bounds_refuses_a_non_finite_exponent_constant(c, capsys):
+    # c sets the largest admissible kernel; a nan or infinite one makes the
+    # residue-split row, and with it the total, bound nothing
+    code, out, err = run_cli(["bounds", "--k", "64", f"--c={c}"], capsys)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParametersError"
+
+
 # --- experiment commands -------------------------------------------------------------
 
 

@@ -15,13 +15,11 @@ from lacunary import (
     ResourceLimitError,
     SparsePoly,
     admissible_kernels,
-    conway_jones_split,
     cyclotomic_poly,
     divides_phi_dense,
     divides_phi_structural,
     find_cyclotomic_factors,
     has_cyclotomic_factor,
-    part_vanishes,
     root_power_sum_is_zero,
     sample_random,
     sweep_cap,
@@ -184,25 +182,22 @@ def test_a_large_prime_modulus_is_decided_without_a_fold():
 
 
 def test_conway_jones_split_examples():
-    s = conway_jones_split(SparsePoly((1, 2, 3), 3), 4, 2)
-    assert s.parts == ((0, 2), (1, 3))
-    assert part_vanishes(s, 0) and part_vanishes(s, 1)
-
-    s = conway_jones_split(SparsePoly((5,), 5), 10, 5)
-    assert s.parts[0] == (0, 5)
-    assert all(not part for part in s.parts[1:])
-    assert part_vanishes(s, 0)
-
-    s = conway_jones_split(SparsePoly((1, 3, 4), 4), 3, 1)
-    assert s.parts == ((0, 1, 3, 4),)  # b=1 is no split
-
+    # the terms of F in one residue class mod b (the constant term as
+    # exponent 0) are a sum of n-th roots of unity in their own right:
+    # 1 + x + x^2 + x^3 at n = 4 splits mod 2 into two vanishing classes
+    assert root_power_sum_is_zero((0, 2), 4) and root_power_sum_is_zero((1, 3), 4)
+    # 1 + x^5 at n = 10 mod 5: class 0 vanishes, the other classes are empty
+    assert root_power_sum_is_zero((0, 5), 10)
+    # b = 1 is no split: 1 + x + x^3 + x^4 at n = 3 is one class, 2 + 2 zeta_3
+    assert not root_power_sum_is_zero((0, 1, 3, 4), 3)
     with pytest.raises(InvalidParametersError):
-        conway_jones_split(SparsePoly((1,), 4), 4, 3)
+        root_power_sum_is_zero((0, 1), 0)
 
 
 def test_conway_jones_soundness_on_divisible_corpus():
-    # with b = n / squarefree kernel, every part of a divisible polynomial
-    # is itself a vanishing sum
+    # with b = n / squarefree kernel, the terms of a divisible polynomial in
+    # each residue class mod b (the constant term as exponent 0) are
+    # themselves a vanishing sum
     stream = _Stream(13, 0)
     for n in (12, 18, 40, 45, 50, 72):
         p = factorize(n)[-1][0]
@@ -210,9 +205,11 @@ def test_conway_jones_soundness_on_divisible_corpus():
         if not divides_phi_structural(F, n):
             continue
         b = n // squarefree_kernel(n)
-        split = conway_jones_split(F, n, b)
-        for i in range(b):
-            assert part_vanishes(split, i), (n, b, i, split.parts[i])
+        parts: dict[int, list[int]] = {}
+        for e in (0,) + F.exponents:
+            parts.setdefault(e % b, []).append(e)
+        for part in parts.values():
+            assert root_power_sum_is_zero(part, n), (n, b, part)
 
 
 def test_singleton_parts_never_vanish():
@@ -257,9 +254,11 @@ def test_sweep_cap_small():
 
 def test_sweep_cap_past_the_first_sieve():
     # the branch and bound sieves primes to 64 and, when a node looks further,
-    # sieves twice as far and walks again: 5,000 needs 128, 10^6 256, 10^9 1,024
+    # sieves twice as far and walks again: 5,000 needs 128, 10^6 256, 12,094
+    # 512 and 10^9 1,024
     assert sweep_cap(5000) == 23100
     assert sweep_cap(10**6) == 5290740
+    assert sweep_cap(12094) == 60060
     assert _largest_modulus(10**9) == 6023507490  # above the guard for sweep_cap
 
 
@@ -290,7 +289,7 @@ def test_full_sweep_candidates_are_the_moduli_with_phi_at_most_N(phi_to_60):
 
 def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
     for k in range(1, 14):
-        members = set(admissible_kernels(k).members)
+        members = set(admissible_kernels(k))
         for N in (k, 30, 60):
             expect = tuple(
                 n for n, f in sorted(phi_to_60.items())
@@ -501,7 +500,7 @@ def test_generated_candidates_are_the_partner_moduli():
     # exactly the n of the range with n / gcd(n, e_j) admissible and above 1
     # for some exponent e_j; a small share of the range
     F = sample_random(13, 10**4, 1, 0)
-    kernels = set(admissible_kernels(F.k).members) - {1}
+    kernels = set(admissible_kernels(F.k)) - {1}
     for k in (None, F.k):
         moduli = _candidate_moduli(F.N, k, None)
         partners = [n for n in moduli if any(n // gcd(n, e) in kernels for e in F.exponents)]
@@ -534,7 +533,7 @@ def test_full_sweep_near_the_guard_against_the_closed_form():
     t = time.perf_counter()
     expect = [n for n in range(2, M + 1) if M % n == 0 and a % n != 0]
     assert find_cyclotomic_factors(F) == expect
-    members = set(admissible_kernels(3).members)
+    members = set(admissible_kernels(3))
     pruned = [n for n in expect if squarefree_kernel(n) in members]
     assert find_cyclotomic_factors(F, "fs-pruned") == pruned == [128, 256]
     assert time.perf_counter() - t < 3.0

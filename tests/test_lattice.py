@@ -519,6 +519,12 @@ def test_enumeration_guard():
     q = BallQuery(center=(0,) * 12, radius=20, n=12)
     with pytest.raises(ResourceLimitError):
         enumerate_ball(b, q, (0,) * 12)
+    # at radius 1e8 in rank 44 the predicted nodes and the volume bound pass
+    # exp's range: both read inf, and the guard refuses
+    b = build_basis(60)
+    with pytest.raises(ResourceLimitError):
+        enumerate_ball(b, BallQuery((0,) * 60, 1e8, 60), (0,) * 60)
+    assert volume_count_bound(b, 1e8) == float("inf")
 
 
 def test_enumeration_validation():
