@@ -16,8 +16,6 @@ from .bounds import (
     total_bound,
 )
 from .cyclotomic import (
-    DensePoly,
-    cyclotomic_poly,
     divides_phi_dense,
     divides_phi_structural,
     find_cyclotomic_factors,
@@ -50,14 +48,12 @@ from .lattice import (
     volume_count_bound,
 )
 from .sparsepoly import (
-    CoefficientVector,
     SparsePoly,
     atom_probability,
     format_poly,
     multinomial_weight,
     parse_poly_line,
     read_poly_file,
-    reduce_mod_cyclic,
     sample_random,
 )
 

@@ -11,12 +11,10 @@ still carry trend information.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import exp, isfinite, lgamma, log, pi, sqrt
 
 from .errors import InvalidParametersError, ResourceLimitError
 from .numtheory import primes_up_to, totient, totient_sieve
-from .sparsepoly import multinomial_weight
 
 _KERNEL_ENUM_GUARD = 10**6
 _MIDRANGE_SUM_GUARD = 10**6
@@ -93,39 +91,23 @@ def default_exponent_constant(k: int) -> float:
     return max_admissible_kernel_log(k) / (sqrt(k) * log(k))
 
 
-def small_n_exact(k: int, n: int, convention: str = "shifted", asymptotic: bool = False):
-    """Probability that the n-th cyclotomic polynomial divides F, n in 2..6.
+def small_n_exact(k: int, n: int) -> float:
+    """Leading-order P(the n-th cyclotomic polynomial divides F), n in 2..6.
 
-    For n in {2, 3, 5} the event pins the count vector to the single
-    balanced atom; 'shifted' places k terms evenly (needs n | k), 'exact'
-    accounts for the constant term (needs n | k+1).  Exact values are
-    rationals in the multinomial model; asymptotic=True returns the
-    leading-order magnitude instead.  For n in {4, 6} only the asymptotic
-    order is available here (their events span many atoms and belong to
-    the lattice-ball bound).
+    For n in {2, 3, 5} the event pins the residue counts to the single
+    balanced atom, of magnitude sqrt(2/(pi k)), 1/k and 1/k^2.  For n in
+    {4, 6} the event spans many atoms, and the value is the order
+    (log k)^2/sqrt(k) or (log k)^4/sqrt(k).
     """
     if n not in (2, 3, 4, 5, 6):
         raise InvalidParametersError(f"n must be in 2..6, got {n}")
     if k < 1:
         raise InvalidParametersError(f"term count must be >= 1, got {k}")
-    if convention not in ("shifted", "exact"):
-        raise InvalidParametersError(f"unknown convention {convention!r}")
     if n == 4:
         return log(k) ** 2 / sqrt(k)
     if n == 6:
         return log(k) ** 4 / sqrt(k)
-    if asymptotic:
-        return {2: sqrt(2.0 / (pi * k)), 3: 1.0 / k, 5: 1.0 / (k * k)}[n]
-    if convention == "shifted":
-        if k % n:
-            return Fraction(0)
-        c = (k // n,) * n
-    else:
-        if (k + 1) % n:
-            return Fraction(0)
-        m = (k + 1) // n
-        c = (m - 1,) + (m,) * (n - 1)
-    return multinomial_weight(c, k, n)
+    return {2: sqrt(2.0 / (pi * k)), 3: 1.0 / k, 5: 1.0 / (k * k)}[n]
 
 
 def ball_volume_log(dim: int, radius: float) -> float:
@@ -202,7 +184,7 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
 
     for n, label in ((2, "balanced atom"), (3, "balanced atom"), (4, "order"),
                      (5, "balanced atom"), (6, "order")):
-        add(f"n={n} {label}", n, n, small_n_exact(k, n, asymptotic=True), "small-n-exact")
+        add(f"n={n} {label}", n, n, small_n_exact(k, n), "small-n-exact")
 
     eq3_raw = sum(lattice_ball_bound(k, n) for n in range(7, b1 + 1))
     add("ball count, small moduli", 7, b1, eq3_raw, "eq3-lattice")

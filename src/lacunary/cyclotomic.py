@@ -2,9 +2,11 @@
 
 Two independent algorithms decide whether the n-th cyclotomic polynomial
 divides F.  The structural one decides everywhere; the dense one, which
-builds Phi_d for every divisor d of n, is kept only to check it in tests:
+builds Phi_d for every divisor d of n, is kept only as the tests' and the
+benchmark's check of it:
 
-* the dense route reduces F modulo x^n - 1 and takes the exact integer
+* the dense route counts the terms of F by residue mod n (F modulo
+  x^n - 1, the constant term on residue 0) and takes the exact integer
   remainder modulo the n-th cyclotomic polynomial;
 
 * the structural route never builds the cyclotomic polynomial.  It works
@@ -51,31 +53,13 @@ of the whole range.
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, ResourceLimitError, refuse_above
 from .numtheory import peel, primes_up_to, smooth_divisors, totient
-from .sparsepoly import SparsePoly, reduce_mod_cyclic
-
-
-@dataclass(frozen=True)
-class DensePoly:
-    """Dense integer polynomial; coefficient index = degree, no trailing zeros."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1 if self.coefficients else -1
+from .sparsepoly import SparsePoly
 
 
 # --- dense algorithm ---------------------------------------------------------
@@ -114,6 +98,7 @@ def _poly_divexact(f: list[int], g: list[int]) -> list[int]:
 
 @lru_cache(maxsize=512)  # recursion reaches only the divisors of n
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, by dividing x^n - 1 by every lower cyclotomic polynomial."""
     if n == 1:
         return (-1, 1)
     f = [0] * (n + 1)
@@ -124,20 +109,16 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(f)
 
 
-def cyclotomic_poly(n: int) -> DensePoly:
-    """The n-th cyclotomic polynomial, by dividing x^n - 1 by all lower ones."""
-    if n < 1:
-        raise InvalidParametersError(f"index must be >= 1, got {n}")
-    return DensePoly(_cyclotomic_coeffs(n))
-
-
 def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
-    """Dense check of the structural test: remainder of (F mod x^n - 1) modulo Phi_n."""
+    """Dense check of the structural test: the residue counts of F mod x^n - 1,
+    constant term included, reduced modulo Phi_n."""
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
-    counts = list(reduce_mod_cyclic(poly, n).counts)
-    rem = _poly_mod(counts, list(_cyclotomic_coeffs(n)))
-    return all(c == 0 for c in rem)
+    refuse_above(n, "residue counts")
+    counts = [0] * n
+    for e in (0,) + poly.exponents:
+        counts[e % n] += 1
+    return not any(_poly_mod(counts, list(_cyclotomic_coeffs(n))))
 
 
 # --- structural algorithm ----------------------------------------------------

@@ -17,7 +17,6 @@ from .cyclotomic import divides_phi_structural, has_cyclotomic_factor
 from .errors import InvalidParametersError, refuse_above
 from .sparsepoly import SparsePoly, sample_random
 
-_Z95 = 1.959963984540054
 _PARALLEL_MIN_TRIALS = 256
 
 
@@ -43,10 +42,11 @@ class EstimateReport:
         return 0.5 * (self.ci_high - self.ci_low)
 
 
-def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1 or not 0 <= hits <= trials:
         raise InvalidParametersError("need 0 <= hits <= trials, trials >= 1")
+    z = 1.959963984540054  # the 97.5% quantile of the standard normal
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -300,12 +300,15 @@ def _homogeneous_ldl(gram, w, s0):
 
 
 def _predicted_nodes(d, radius_sq: float) -> float:
-    """Estimated enumeration nodes above level 0, from the LDL pivots."""
+    """Estimated enumeration nodes above level 0, from the LDL pivots.
+
+    A rank-1 basis has no level above 0, so its one line is counted instead.
+    """
     r = len(d) - 1
     rad = sqrt(max(radius_sq - d[r], 0.0))
     work = 0.0
     logprod = 0.0
-    for m in range(1, r):
+    for m in range(1, max(r, 2)):
         logprod += 0.5 * log(d[r - m])
         v = ball_volume_log(m, rad) - logprod if rad > 0 else 0.0
         work += exp(v) if v < 700 else inf
@@ -472,7 +475,8 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
             if ti:
                 z = [zl + ti * x for zl, x in zip(z, v)]
         d, _ = ldl(z)
-    radius_sq = float(query.radius) ** 2
+    radius = float(query.radius)
+    radius_sq = radius * radius  # overflows to inf, which the guard refuses
     refuse_above(_predicted_nodes(d, radius_sq), "ball enumeration nodes")
     # scaled by the common denominator D, every squared distance is an integer
     scale = lcm(*(zi.denominator for zi in z))

@@ -1,11 +1,10 @@
 """Sparse 0,1-polynomials and the exact distribution of their residue counts.
 
 A polynomial is 1 + x^{e_1} + ... + x^{e_k} with 0 < e_1 < ... < e_k <= N,
-stored as the tuple of exponents plus the degree cap N.  Reducing modulo
-x^n - 1 turns it into a length-n vector of residue counts (the constant
-term always lands on residue 0).  Both the exact hypergeometric-style
-probability of a given count vector and its multinomial idealization are
-computed in rational arithmetic.
+stored as the tuple of exponents plus the degree cap N.  Counting the
+exponents by residue mod n gives a length-n vector that sums to k.  Both
+the exact hypergeometric-style probability of a given count vector and its
+multinomial idealization are computed in rational arithmetic.
 
 Text format (shared by the CLI): one polynomial per line, ascending
 exponents separated by whitespace, '#' starts a comment line; a line's degree
@@ -17,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import InvalidParametersError, PolyParseError, refuse_above
+from .errors import InvalidParametersError, PolyParseError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -53,28 +52,6 @@ class SparsePoly:
     @property
     def degree(self) -> int:
         return self.exponents[-1] if self.exponents else 0
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Residue counts of a polynomial modulo x^n - 1, constant term included."""
-
-    n: int
-    counts: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if self.n < 1 or len(self.counts) != self.n:
-            raise InvalidParametersError("counts must have length n >= 1")
-        if sum(self.counts) != self.k + 1 or self.counts[0] < 1:
-            raise InvalidParametersError(
-                "counts must sum to k+1 with the constant term on residue 0"
-            )
-
-    def shifted(self) -> tuple[int, ...]:
-        """The count vector with the constant term's contribution removed."""
-        return (self.counts[0] - 1,) + self.counts[1:]
 
 
 # --- deterministic sampling ------------------------------------------------
@@ -127,19 +104,7 @@ def sample_random(k: int, N: int, seed: int, index: int) -> SparsePoly:
     return SparsePoly(tuple(sorted(chosen)), N)
 
 
-# --- modular reduction and exact distribution -------------------------------
-
-
-def reduce_mod_cyclic(poly: SparsePoly, n: int) -> CoefficientVector:
-    """Residue counts of poly modulo x^n - 1 (constant term on residue 0)."""
-    if n < 1:
-        raise InvalidParametersError(f"modulus must be >= 1, got {n}")
-    refuse_above(n, "residue counts")
-    counts = [0] * n
-    counts[0] = 1
-    for e in poly.exponents:
-        counts[e % n] += 1
-    return CoefficientVector(n, tuple(counts), poly.k)
+# --- exact distribution of residue counts -----------------------------------
 
 
 def residue_class_size(j: int, n: int, N: int) -> int:
@@ -152,7 +117,7 @@ def residue_class_size(j: int, n: int, N: int) -> int:
 def atom_probability(c: Sequence[int], k: int, n: int, N: int) -> Fraction:
     """Exact probability that a uniform k-subset of [1, N] realizes counts c.
 
-    c is the shifted vector (constant term removed), so sum(c) = k.
+    c counts the k exponents by residue mod n, so sum(c) = k.
     """
     c = tuple(c)
     if len(c) != n:

@@ -1,7 +1,6 @@
 """Formula evaluators for every displayed probability bound."""
 
-from fractions import Fraction
-from math import comb, exp, factorial, lgamma, log, pi, sqrt
+from math import exp, factorial, lgamma, log, pi, sqrt
 
 import mpmath
 import pytest
@@ -12,7 +11,6 @@ from lacunary import (
     chernoff_tail_bound,
     default_exponent_constant,
     lattice_ball_bound,
-    multinomial_weight,
     small_n_exact,
     total_bound,
 )
@@ -81,42 +79,18 @@ def test_default_constant_matches_kernel_max():
 
 
 def test_small_n_asymptotic_examples():
-    assert small_n_exact(200, 2, asymptotic=True) == pytest.approx(sqrt(2 / (pi * 200)))
-    assert small_n_exact(100, 3, asymptotic=True) == pytest.approx(1 / 100)
-    assert small_n_exact(100, 5, asymptotic=True) == pytest.approx(1e-4)
+    assert small_n_exact(200, 2) == pytest.approx(sqrt(2 / (pi * 200)))
+    assert small_n_exact(100, 3) == pytest.approx(1 / 100)
+    assert small_n_exact(100, 5) == pytest.approx(1e-4)
     assert small_n_exact(100, 4) == pytest.approx(log(100) ** 2 / 10)
     assert small_n_exact(100, 6) == pytest.approx(log(100) ** 4 / 10)
-
-
-def test_small_n_exact_values():
-    assert small_n_exact(6, 3) == Fraction(90, 729)
-    assert small_n_exact(4, 3, convention="exact") == 0
-    assert small_n_exact(4, 2) == Fraction(comb(4, 2), 16)
-    assert small_n_exact(5, 2) == 0  # shifted convention needs 2 | k
-    assert small_n_exact(5, 2, convention="exact") == Fraction(comb(5, 3), 32)
-
-
-def test_small_n_matches_multinomial_weight():
-    for n in (2, 3, 5):
-        for k in range(1, 13):
-            got = small_n_exact(k, n)
-            if k % n:
-                assert got == 0
-            else:
-                assert got == multinomial_weight((k // n,) * n, k, n)
-            got = small_n_exact(k, n, convention="exact")
-            if (k + 1) % n:
-                assert got == 0
-            else:
-                m = (k + 1) // n
-                assert got == multinomial_weight((m - 1,) + (m,) * (n - 1), k, n)
 
 
 def test_small_n_validation():
     with pytest.raises(InvalidParametersError):
         small_n_exact(10, 7)
     with pytest.raises(InvalidParametersError):
-        small_n_exact(10, 2, convention="mystery")
+        small_n_exact(0, 2)
 
 
 # --- central atom and the lattice-ball bound ---------------------------------------

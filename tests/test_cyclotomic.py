@@ -15,7 +15,6 @@ from lacunary import (
     ResourceLimitError,
     SparsePoly,
     admissible_kernels,
-    cyclotomic_poly,
     divides_phi_dense,
     divides_phi_structural,
     find_cyclotomic_factors,
@@ -27,6 +26,7 @@ from lacunary import (
 from lacunary.cyclotomic import (
     _candidate_moduli,
     _column_classes,
+    _cyclotomic_coeffs,
     _largest_modulus,
     _partner_moduli,
     _poly_divexact,
@@ -42,28 +42,29 @@ from oracles import cyclotomic_via_mobius, phi_brute, root_sum_zero_numeric
 
 
 def test_cyclotomic_small():
-    assert cyclotomic_poly(1).coefficients == (-1, 1)
-    assert cyclotomic_poly(2).coefficients == (1, 1)
-    assert cyclotomic_poly(10).coefficients == (1, -1, 1, -1, 1)
+    assert _cyclotomic_coeffs(1) == (-1, 1)
+    assert _cyclotomic_coeffs(2) == (1, 1)
+    assert _cyclotomic_coeffs(10) == (1, -1, 1, -1, 1)
 
 
 def test_cyclotomic_105_has_minus_two():
-    assert min(cyclotomic_poly(105).coefficients) == -2
+    assert min(_cyclotomic_coeffs(105)) == -2
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 36, 60, 105, 128, 210])
 def test_cyclotomic_matches_moebius_oracle(n):
-    assert list(cyclotomic_poly(n).coefficients) == cyclotomic_via_mobius(n)
+    assert list(_cyclotomic_coeffs(n)) == cyclotomic_via_mobius(n)
 
 
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 80):
-        assert cyclotomic_poly(n).degree == phi_brute(n)
+        assert len(_cyclotomic_coeffs(n)) - 1 == phi_brute(n)
 
 
 def test_cyclotomic_validation():
-    with pytest.raises(InvalidParametersError):
-        cyclotomic_poly(0)
+    for n in (0, -3):
+        with pytest.raises(InvalidParametersError):
+            divides_phi_dense(SparsePoly((1,), 1), n)
 
 
 def test_inexact_division_raises():

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary import (
     InvalidParametersError,
@@ -139,6 +141,26 @@ def test_estimate_deterministic_and_worker_independent():
     e = estimate_any_cyclotomic(4, 60, 2000, seed=7, workers=1)
     f = estimate_any_cyclotomic(4, 60, 2000, seed=7, workers=8)
     assert e == f
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    N=st.integers(6, 60),
+    n=st.integers(1, 120),
+    trials=st.integers(256, 512),
+    seed=st.integers(0, 2**64),
+    workers=st.integers(1, 8),
+    mode=st.sampled_from(["full-sweep", "fs-pruned"]),
+)
+def test_hits_do_not_depend_on_workers(k, N, n, trials, seed, workers, mode):
+    # at 256 trials or more any workers > 1 runs the pool, of at most nproc processes
+    assert estimate_phi_n(k, N, n, trials, seed, workers) == estimate_phi_n(k, N, n, trials, seed)
+    assert estimate_any_cyclotomic(k, N, trials, seed, mode, workers) == estimate_any_cyclotomic(
+        k, N, trials, seed, mode
+    )
+    ks = range(1, k + 1)
+    assert decay_series(ks, N, trials, seed, mode, workers) == decay_series(ks, N, trials, seed, mode)
 
 
 def test_estimate_nontrivial_seed_changes_draws():

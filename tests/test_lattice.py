@@ -525,6 +525,14 @@ def test_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_ball(b, BallQuery((0,) * 60, 1e8, 60), (0,) * 60)
     assert volume_count_bound(b, 1e8) == float("inf")
+    # a radius whose square overflows a float predicts inf nodes and is refused
+    with pytest.raises(ResourceLimitError):
+        enumerate_ball(b, BallQuery((0,) * 60, 1e200, 60), (0,) * 60)
+    # the rank-1 basis of a prime n has no level above 0; its line is counted
+    b = build_basis(2)
+    for radius in (1e8, 1e200):
+        with pytest.raises(ResourceLimitError):
+            enumerate_ball(b, BallQuery((0, 0), radius, 2), (0, 0))
 
 
 def test_enumeration_validation():

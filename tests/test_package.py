@@ -1,5 +1,5 @@
 """Package layout: modules reach each other only through public names, and
-every library definition is used."""
+every library definition and defaulted parameter is used."""
 
 import ast
 from pathlib import Path
@@ -70,7 +70,7 @@ def _names_used(node) -> set[str]:
 
 # reached only by the tests, each for a reason of its own
 TEST_ONLY = {
-    "cyclotomic_poly": "the dense reference route, the structural test's independent check",
+    "multinomial_weight": "the multinomial law: acceptance 8's oracle, the N = infinity single-modulus law",
     "squarefree_kernel": "a test oracle for the pruned sweep range",
     "omega": "a test oracle",
     "atom_probability": "the exact count law, the oracle of a single-modulus event",
@@ -100,6 +100,55 @@ def test_every_library_function_and_class_is_referenced():
     assert len(defined) > 50
     assert sorted(d for d in defined if d not in used) == sorted(TEST_ONLY)
     assert set(TEST_ONLY) <= tested
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default; None for keyword-only."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(pos) if i >= first]
+    kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    return found + [(a.arg, None) for a, d in kwonly if d is not None]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None is **kwargs
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+# defaulted parameters that library and perfbench code never pass
+DEFAULT_ONLY = {
+    ("root_power_sum_is_zero", "coefficients"):
+        "the integer-coefficient sums that the vanishing-sum tests check",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no library or perfbench call overrides is a knob only a
+    # test turns
+    params = {}
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef):
+                for name, position in _defaulted_params(stmt):
+                    params[stmt.name, name] = position
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    callers = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    callers += [path for path in sorted(perfbench.glob("*.py")) if not path.name.startswith("test_")]
+    passed = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed |= {
+                    (fn, name) for (fn, name), position in params.items()
+                    if fn == func and _passes(node, name, position)
+                }
+    assert len(params) > 10
+    assert sorted(set(params) - passed) == sorted(DEFAULT_ONLY)
 
 
 def _cache_decorators(path: Path):

@@ -13,11 +13,11 @@ from lacunary import (
     ResourceLimitError,
     SparsePoly,
     atom_probability,
+    divides_phi_dense,
     format_poly,
     multinomial_weight,
     parse_poly_line,
     read_poly_file,
-    reduce_mod_cyclic,
     sample_random,
 )
 
@@ -48,28 +48,24 @@ def test_poly_invariants():
 
 
 def test_reduce_mod_cyclic_examples():
-    assert reduce_mod_cyclic(SparsePoly((1, 3, 4), 12), 3).counts == (2, 2, 0)
-    assert reduce_mod_cyclic(SparsePoly((2,), 2), 2).counts == (2, 0)
-    assert reduce_mod_cyclic(SparsePoly((1, 2, 3, 4, 5, 6), 6), 1).counts == (7,)
+    # the dense check counts the constant term on residue 0: 1 + x + x^2 is
+    # Phi_3, while x + x^2 alone leaves -1 modulo it
+    assert divides_phi_dense(SparsePoly((1, 2), 2), 3)
+    assert divides_phi_dense(SparsePoly((1, 5), 5), 3)
+    assert not divides_phi_dense(SparsePoly((3, 4, 5), 5), 3)  # residues 0, 0, 1, 2
+    assert not divides_phi_dense(SparsePoly((1, 3, 4), 12), 3)  # 2 + 2x
+    assert not divides_phi_dense(SparsePoly((2,), 2), 2)  # 1 + x^2 = 2 mod x + 1
     with pytest.raises(InvalidParametersError):
-        reduce_mod_cyclic(SparsePoly((1,), 2), 0)
+        divides_phi_dense(SparsePoly((1,), 2), 0)
     with pytest.raises(ResourceLimitError):  # refused before n counts are allocated
-        reduce_mod_cyclic(SparsePoly((1, 2), 2), 10**7 + 1)
+        divides_phi_dense(SparsePoly((1, 2), 2), 10**7 + 1)
 
 
 def test_refusal_just_above_the_guard_prints_above_it():
     # three significant digits rounded up: 10^7 + 1 must not read as 1.00e+7
     with pytest.raises(ResourceLimitError) as exc:
-        reduce_mod_cyclic(SparsePoly((1, 2), 2), 10**7 + 1)
+        divides_phi_dense(SparsePoly((1, 2), 2), 10**7 + 1)
     assert str(exc.value) == "1.01e+7 predicted residue counts exceed guard 1e+07"
-
-
-def test_reduce_mass_and_shift():
-    for exps, N, n in [((1, 5, 9), 9, 4), ((2, 3), 6, 5), ((7,), 7, 3)]:
-        cv = reduce_mod_cyclic(SparsePoly(exps, N), n)
-        assert sum(cv.counts) == len(exps) + 1
-        assert cv.counts[0] >= 1
-        assert sum(cv.shifted()) == len(exps)
 
 
 # --- exact probabilities ------------------------------------------------------
