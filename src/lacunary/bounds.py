@@ -3,7 +3,9 @@
 `total_bound` sums per-range bounds over the moduli, and each displayed
 inequality it uses is coded once, in the function its row calls.
 `admissible_kernels` lists the squarefree kernels that the term-count test
-allows; the sweeps in `cyclotomic` generate their moduli from them.  All
+allows; the sweeps in `cyclotomic` generate their moduli from them.  The
+kernel list and the mid-range sum are counted first and refused through
+the one guard, `errors.refuse_above`, above 10^7 members.  All
 logs are natural; fractional factorials go through log-Gamma.  Values
 reported in a breakdown are clipped to [0, 1] with the raw value retained,
 since the underlying inequalities are asymptotic and raw values above 1
@@ -11,13 +13,11 @@ still carry trend information.
 """
 
 from dataclasses import dataclass
+from itertools import count
 from math import exp, isfinite, lgamma, log, pi, sqrt
 
-from .errors import InvalidParametersError, ResourceLimitError
+from .errors import InvalidParametersError, refuse_above
 from .numtheory import primes_up_to, totient, totient_sieve
-
-_KERNEL_ENUM_GUARD = 10**6
-_MIDRANGE_SUM_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,35 @@ class BoundBreakdown:
     total: float  # sum of the clipped row values
 
 
-def admissible_kernels(k: int, limit: int = _KERNEL_ENUM_GUARD) -> tuple[int, ...]:
+def admissible_kernels(k: int) -> tuple[int, ...]:
     """All squarefree m with 2 + sum_{p | m}(p - 2) <= k + 1, exhaustively.
 
     The prime condition forces p <= k + 1, so the enumeration is complete.
-    More than `limit` members raise ResourceLimitError.
+    Before anything is listed, a 0/1 knapsack over the costs p - 2 counts
+    the admissible prime sets, one prime at a time in ascending order; each
+    partial count is a lower bound and goes to the guard, so a large k is
+    refused after the primes up to 89, without a sieve to k + 1.  A listed
+    kernel has at most 23 primes, since 24 would admit 2^24 kernels.
     """
     if k < 1:
         raise InvalidParametersError(f"term count must be >= 1, got {k}")
-    primes = primes_up_to(k + 1)
     budget = k - 1
+    ways = [1]  # ways[c]: the sets of the primes so far whose costs sum to c
+    primes: list[int] = []
+    for p in count(2):
+        if any(p % q == 0 for q in primes):
+            continue
+        cost = p - 2
+        if cost > budget:
+            break  # p > k + 1, and every later prime costs more
+        primes.append(p)
+        ways += [0] * (min(budget + 1, len(ways) + cost) - len(ways))
+        for c in range(len(ways) - 1, cost - 1, -1):
+            ways[c] += ways[c - cost]
+        refuse_above(sum(ways), "admissible kernels (a lower bound)")
     members: list[int] = []
 
     def dfs(idx: int, prod: int, used: int):
-        if len(members) > limit:
-            raise ResourceLimitError("candidate kernel enumeration exceeds guard")
         members.append(prod)
         for j in range(idx, len(primes)):
             cost = primes[j] - 2
@@ -171,11 +185,11 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
     lnk = log(k)
     b1 = max(6, int(k / exp(sqrt(lnk))))
     log_b2 = k / (24.0 * lnk)
-    b2 = max(b1, int(exp(log_b2)) if log_b2 < 700 else _MIDRANGE_SUM_GUARD + b1 + 1)
-    if b2 - b1 > _MIDRANGE_SUM_GUARD:
-        raise ResourceLimitError(
-            f"mid-range summation over {b2 - b1} moduli exceeds guard"
-        )
+    # exp overflows a float past 709, so the end is cut at exp(700) and the
+    # refused count printed as a lower bound
+    b2 = max(b1, int(exp(min(log_b2, 700.0))))
+    what = "mid-range moduli" if log_b2 <= 700 else "mid-range moduli (a lower bound)"
+    refuse_above(b2 - b1, what)
 
     rows = []
 

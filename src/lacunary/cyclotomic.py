@@ -57,7 +57,7 @@ from functools import lru_cache
 from math import gcd, inf
 
 from .bounds import admissible_kernels
-from .errors import InvalidParametersError, ResourceLimitError, refuse_above
+from .errors import InvalidParametersError, refuse_above
 from .numtheory import peel, primes_up_to, smooth_divisors, totient
 from .sparsepoly import SparsePoly
 
@@ -225,9 +225,9 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
 # About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify; that count
 # predicts a sweep's size before anything is allocated.
 _PHI_DENSITY = 1.9436
-# beyond this many admissible kernels (k of about 120) the generated products
-# cost more than testing the whole range
-_GENERATE_KERNELS = 2**14
+# above this k the generated products cost more than testing the whole range;
+# k = 120 admits 15,850 kernels, k = 121 admits 16,442
+_GENERATE_MAX_K = 120
 
 
 @lru_cache(maxsize=256)
@@ -266,8 +266,8 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
 
     k=None lists them all (full sweep); otherwise only the n whose squarefree
     kernel is admissible for k terms (fs-pruned).  The list comes from a
-    depth-first walk over prime powers.  Sweeps use it only above
-    _GENERATE_KERNELS admissible kernels, so the cache holds few ranges.
+    depth-first walk over prime powers.  Sweeps use it only for polynomials
+    of more than _GENERATE_MAX_K terms, so the cache holds few ranges.
     """
     _guard(N, k, cap)
     top = inf if cap is None else cap
@@ -340,12 +340,10 @@ def sweep_cap(N: int) -> int:
 
 @lru_cache(maxsize=64)
 def _partner_kernels(k: int) -> dict[int, int] | None:
-    """Admissible kernels for k terms as {m: phi(m)} ascending, or None when too many."""
-    try:
-        members = admissible_kernels(k, _GENERATE_KERNELS)
-    except ResourceLimitError:
+    """Admissible kernels for k terms as {m: phi(m)} ascending, or None above _GENERATE_MAX_K."""
+    if k > _GENERATE_MAX_K:
         return None
-    return {m: totient(m) for m in members}
+    return {m: totient(m) for m in admissible_kernels(k)}
 
 
 def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequence[int]:

@@ -96,6 +96,8 @@ def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
 
 def _estimates(events: list[tuple], trials: int, seed: int, workers: int) -> list[EstimateReport]:
     """One Monte Carlo report per event (k, N, n, mode, cap)."""
+    for k, *_ in events:  # a sampled polynomial holds k exponents
+        refuse_above(k, "exponents per sampled polynomial")
     hits = _run_chunked([event + (seed,) for event in events], trials, workers)
     reports = []
     for (k, N, n, mode, _), h in zip(events, hits):

@@ -97,8 +97,12 @@ class BallQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(Fraction(c) for c in self.center))
-        if not isfinite(self.radius):
-            raise InvalidParametersError(f"radius must be finite, got {self.radius}")
+        try:
+            finite = isfinite(self.radius)
+        except OverflowError:  # an integer beyond float range
+            finite = False
+        if not finite:
+            raise InvalidParametersError(f"radius must be a finite float, got {self.radius}")
         if self.radius < 0:
             raise InvalidParametersError(f"radius must be >= 0, got {self.radius}")
         if len(self.center) != self.n:
@@ -268,7 +272,10 @@ def volume_count_bound(basis: RelationBasis, radius: float) -> float:
     if radius < 0:
         raise InvalidParametersError(f"radius must be >= 0, got {radius}")
     r = basis.rank
-    inflated = radius + mesh_max_length(basis)
+    try:
+        inflated = radius + mesh_max_length(basis)
+    except OverflowError:  # an integer radius beyond float range; log takes it exactly
+        inflated = radius
     v = ball_volume_log(r, inflated) - 0.5 * log(basis.gram_det)
     return exp(v) if v < 700 else inf
 

@@ -1,8 +1,6 @@
 """Small number-theoretic helpers used across the package.
 
-Everything here is exact integer arithmetic.  The totient sieve is cached
-because `bounds.total_bound` sieves the same mid range again for every k
-that shares its upper end.
+Everything here is exact integer arithmetic.
 """
 
 from functools import lru_cache
@@ -58,7 +56,6 @@ def totient(n: int) -> int:
     return r
 
 
-@lru_cache(maxsize=8)
 def totient_sieve(m: int) -> tuple[int, ...]:
     """phi(0..m) as a tuple; phi(0) = 0 by convention."""
     phi = list(range(m + 1))

@@ -14,6 +14,7 @@ from lacunary import (
     small_n_exact,
     total_bound,
 )
+from lacunary import bounds
 from lacunary.bounds import _midrange_atom
 from lacunary.numtheory import totient
 
@@ -65,6 +66,17 @@ def test_kernels_complete_by_brute_force():
                 continue
             ok = 2 + sum(p - 2 for p in fac) <= k + 1
             assert (m in members) == ok, (k, m)
+
+
+def test_kernel_count_is_the_listed_count(monkeypatch):
+    # the knapsack's last count, after the last affordable prime, is exact
+    counts = []
+    monkeypatch.setattr(bounds, "refuse_above", lambda amount, what: counts.append(amount))
+    for k in range(1, 151):
+        counts.clear()
+        members = admissible_kernels(k)
+        assert counts[-1] == len(members), k
+        assert counts == sorted(counts)  # each partial count is a lower bound
 
 
 def test_default_constant_matches_kernel_max():
@@ -213,6 +225,12 @@ def test_total_bound_tags():
         "midrange-K",
         "large-n-residue",
     }
+
+
+def test_total_bound_sums_a_mid_range_of_over_a_million_moduli():
+    # 1,526,648 moduli: above the old 10^6 guard, below the one 10^7 guard
+    mid = next(r for r in total_bound(2700).rows if r.tag == "midrange-K")
+    assert mid.n_hi - mid.n_lo + 1 == 1_526_648
 
 
 def test_total_bound_validation():

@@ -136,6 +136,29 @@ def test_candidates_command(capsys):
     assert json.loads(out)["members"] == [1, 2, 3, 5, 6, 10]
 
 
+@pytest.mark.parametrize("argv", [
+    ["candidates", "--k", "350"],  # 10,071,738 kernels, one prime past k = 349's 9,855,176
+    ["candidates", "--k", "1000000"],
+    ["candidates", "--k", "10000000"],
+    ["candidates", "--k", "1000000000"],  # refused after the primes up to 89
+    ["bounds", "--k", "1000000000"],  # exp(k / (24 log k)) mid-range moduli overflow a float
+    ["estimate", "--k", "100000000", "--N", "100000000", "--n", "2", "--trials", "1"],
+])
+def test_refused_before_anything_is_listed_or_sampled(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ResourceLimitError"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bounds_refusal_past_float_range_prints_a_lower_bound(capsys):
+    code, _, err = run_cli(["bounds", "--k", "1000000000"], capsys)
+    assert code == 3
+    assert "mid-range moduli (a lower bound)" in json.loads(err)["message"]
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(["bounds", "--k", "64"], capsys)
     lines = out.strip().split("\n")

@@ -28,6 +28,7 @@ from lacunary.cyclotomic import (
     _column_classes,
     _cyclotomic_coeffs,
     _largest_modulus,
+    _partner_kernels,
     _partner_moduli,
     _poly_divexact,
     _predicted_moduli,
@@ -306,6 +307,14 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
                 if f <= N and 2 + sum(p - 2 for p, _ in factorize(n)) <= k + 1
             )
             assert _candidate_moduli(N, k, None) == expect, (k, N)
+
+
+def test_partner_kernels_switch_to_the_range_above_k_120():
+    assert len(_partner_kernels(120)) == 15_850
+    assert _partner_kernels(121) is None
+    t = time.perf_counter()
+    assert _partner_kernels(4 * 10**6) is None  # no kernel is counted or listed
+    assert time.perf_counter() - t < 1.0
 
 
 def test_pruned_sweep_at_large_k_agrees_with_the_full_sweep():

@@ -525,6 +525,7 @@ def test_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_ball(b, BallQuery((0,) * 60, 1e8, 60), (0,) * 60)
     assert volume_count_bound(b, 1e8) == float("inf")
+    assert volume_count_bound(b, 10**400) == float("inf")  # an integer past float range
     # a radius whose square overflows a float predicts inf nodes and is refused
     with pytest.raises(ResourceLimitError):
         enumerate_ball(b, BallQuery((0,) * 60, 1e200, 60), (0,) * 60)
@@ -543,7 +544,9 @@ def test_enumeration_validation():
         enumerate_ball(b, BallQuery(center=(0,) * 6, radius=1, n=6), (0,) * 4)
 
 
-@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("radius", [
+    float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int-past-float-range"),
+])
 def test_ball_query_rejects_a_non_finite_radius(radius):
     with pytest.raises(InvalidParametersError):
         BallQuery(center=(0, 0, 0, 0), radius=radius, n=4)

@@ -43,6 +43,24 @@ def test_no_library_path_calls_the_dense_route():
     assert calls == []
 
 
+def test_one_refusal_path():
+    # errors.refuse_above is the only code that raises ResourceLimitError and
+    # cli.main, through LacunaryError, the only code that catches it; a
+    # library path never picks its branch by catching a refusal
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None and path.name != "errors.py":
+                names = _names_used(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = _names_used(node.type)
+            else:
+                continue
+            if "ResourceLimitError" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_no_assert_statements_in_library():
     # python -O strips asserts, so library invariants must raise instead
     modules = sorted(SRC.glob("*.py"))
