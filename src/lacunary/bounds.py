@@ -14,7 +14,7 @@ still carry trend information.
 
 from dataclasses import dataclass
 from itertools import count
-from math import exp, isfinite, lgamma, log, pi, sqrt
+from math import exp, inf, isfinite, lgamma, log, pi, sqrt
 
 from .errors import InvalidParametersError, refuse_above
 from .numtheory import primes_up_to, totient, totient_sieve
@@ -183,8 +183,11 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
     if c is not None and not isfinite(c):  # a nan or infinite c bounds nothing
         raise InvalidParametersError(f"kernel-size exponent constant must be finite, got {c}")
     lnk = log(k)
-    b1 = max(6, int(k / exp(sqrt(lnk))))
-    log_b2 = k / (24.0 * lnk)
+    try:
+        b1 = max(6, int(k / exp(sqrt(lnk))))
+        log_b2 = k / (24.0 * lnk)
+    except OverflowError:  # k past float range: the mid-range alone holds over exp(700) moduli
+        b1, log_b2 = 6, inf
     # exp overflows a float past 709, so the end is cut at exp(700) and the
     # refused count printed as a lower bound
     b2 = max(b1, int(exp(min(log_b2, 700.0))))

@@ -49,16 +49,25 @@ prime to e_j / g.  The sweep builds these products, keeps those with
 phi(g * m') <= N (and, for the pruned range, an admissible kernel) and
 tests them in ascending order, so factor lists and early exits are those
 of the whole range.
+
+The guard refuses a sweep before it lists anything.  A full sweep is
+refused on its range, about 1.9436 N moduli, or on its cap, before any
+exponent is factored, since g may hold any prime of e_j and factoring a
+whole exponent costs sqrt(e_j).  A pruned modulus is (k+1)-smooth, so a
+pruned sweep factors only the (k+1)-smooth part of each exponent, in O(k)
+steps, and is refused only when the products it would build, the
+admissible kernels times the smooth divisors over all exponents, pass the
+guard as well as the range and the cap.
 """
 
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd, inf, prod
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, refuse_above
-from .numtheory import peel, primes_up_to, smooth_divisors, totient
+from .numtheory import factorize, peel, primes_up_to, smooth_divisors, totient
 from .sparsepoly import SparsePoly
 
 
@@ -222,42 +231,17 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
 # --- candidate sweep -----------------------------------------------------------
 
 # F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
-# About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify; that count
-# predicts a sweep's size before anything is allocated.
+# About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify.
 _PHI_DENSITY = 1.9436
 # above this k the generated products cost more than testing the whole range;
 # k = 120 admits 15,850 kernels, k = 121 admits 16,442
 _GENERATE_MAX_K = 120
 
 
-@lru_cache(maxsize=256)
-def _predicted_moduli(N: int, k: int | None) -> float:
-    """An upper estimate of a sweep's size, from N and k alone.
-
-    A fs-pruned modulus n is (k+1)-smooth, and n = phi(n) * prod_{p | n} p / (p - 1),
-    so n is at most X = floor(N * prod_{p <= k+1} p / (p - 1)).  There are at
-    most prod_{p <= k+1} (floor(log_p X) + 1) of them: an exact bound.
-    """
-    if k is None:
-        return _PHI_DENSITY * N
-    primes = primes_up_to(k + 1)
-    num, den = N, 1
-    for p in primes:
-        num, den = num * p, den * (p - 1)
-    top = num // den
-    smooth = 1
-    for p in primes:
-        powers, q = 1, p
-        while q <= top:
-            powers, q = powers + 1, q * p
-        smooth *= powers
-    return min(_PHI_DENSITY * N, smooth)
-
-
-def _guard(N: int, k: int | None, cap: int | None) -> None:
-    """Refuse a sweep predicted above the guard, before anything is allocated."""
-    predicted = _predicted_moduli(N, k)
-    refuse_above(predicted if cap is None else min(predicted, cap), "candidate moduli")
+def _guard(N: int, cap: int | None, products: int | float = inf) -> None:
+    """Refuse a sweep before anything is listed: its range holds about
+    1.9436 N moduli, its cap bounds them, and so do the products it builds."""
+    refuse_above(min(_PHI_DENSITY * N, inf if cap is None else cap, products), "candidate moduli")
 
 
 @lru_cache(maxsize=4)
@@ -269,7 +253,7 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
     depth-first walk over prime powers.  Sweeps use it only for polynomials
     of more than _GENERATE_MAX_K terms, so the cache holds few ranges.
     """
-    _guard(N, k, cap)
+    _guard(N, cap)
     top = inf if cap is None else cap
     budget = inf if k is None else k - 1  # the Conway-Jones cost sum_{p | n} (p - 2)
     primes = primes_up_to(min(N + 1, top) if k is None else min(N + 1, top, k + 1))
@@ -334,7 +318,7 @@ def sweep_cap(N: int) -> int:
     """Largest n with phi(n) <= N: the last modulus a full sweep tests."""
     if N < 1:
         raise InvalidParametersError(f"degree cap must be >= 1, got {N}")
-    _guard(N, None, None)
+    _guard(N, None)
     return _largest_modulus(N)
 
 
@@ -357,18 +341,22 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
     and rad(g * m) = rad(g) * (m / d): the range test needs no range.
     """
     N = poly.N
-    _guard(N, k, cap)
+    if k is None:
+        _guard(N, cap)  # before factoring, which costs sqrt(e) per whole exponent
     if not poly.exponents:
         return ()  # F = 1 has no cyclotomic factor
     kernels = _partner_kernels(poly.k)
     if kernels is None:
         return _candidate_moduli(N, k, cap)
+    # g divides a modulus, whose primes a pruned sweep keeps to k + 1 at most
+    factors = [factorize(e, None if k is None else k + 1) for e in poly.exponents]
+    if k is not None:
+        _guard(N, cap, len(kernels) * sum(prod(a + 1 for _, a in f) for f in factors))
     # every modulus of the range, pruned or not, has phi(n) <= N
     top = _largest_modulus(N) if cap is None else min(_largest_modulus(N), cap)
-    bound = N + 1 if k is None else k + 1
     seen, moduli = set(), []
-    for e in poly.exponents:
-        for g, phi_g, rad_g in smooth_divisors(e, bound):
+    for e, f in zip(poly.exponents, factors):
+        for g, phi_g, rad_g in smooth_divisors(f):
             rest = e // g
             for m in kernels:
                 n = g * m

@@ -193,27 +193,11 @@ def _mode_field(report: EstimateReport) -> str:
     return report.mode
 
 
-def report_to_csv_row(report: EstimateReport) -> str:
-    n_or_any = "any" if report.n is None else str(report.n)
-    return ",".join(
-        [
-            str(report.k),
-            str(report.N),
-            n_or_any,
-            _mode_field(report),
-            str(report.trials),
-            str(report.hits),
-            repr(report.estimate),
-            repr(report.ci_low),
-            repr(report.ci_high),
-            str(report.seed),
-        ]
-    )
-
-
 def reports_to_csv(reports) -> str:
+    """CSV_HEADER, then each report's JSON record: strings as they are, numbers by repr."""
     lines = [CSV_HEADER]
-    lines.extend(report_to_csv_row(r) for r in reports)
+    for r in reports:
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in report_to_json(r).values()))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,8 @@
 """Small number-theoretic helpers used across the package.
 
-Everything here is exact integer arithmetic.
+Everything here is exact integer arithmetic.  Trial division in `factorize`
+can stop at a bound, so a pruned sweep factors only the (k+1)-smooth part of
+an exponent, in O(k) steps whatever the exponent's size.
 """
 
 from functools import lru_cache
@@ -20,13 +22,18 @@ def primes_up_to(m: int) -> list[int]:
     return [i for i in range(m + 1) if sieve[i]]
 
 
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
+def factorize(n: int, bound: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending.
+
+    With a bound, trial division stops past it and only the primes up to
+    the bound are returned: the factorization of n's bound-smooth part.
+    """
     if n < 1:
         raise InvalidParametersError(f"cannot factor {n}")
+    last = n if bound is None else bound
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= last:
         e = 0
         while n % d == 0:
             e += 1
@@ -34,18 +41,17 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if e:
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
+    if 1 < n <= last:  # a prime, unless trial division stopped at the bound
         out.append((n, 1))
     return tuple(out)
 
 
-def smooth_divisors(n: int, bound: int) -> list[tuple[int, int, int]]:
-    """(d, phi(d), rad(d)) for the divisors d of n >= 1 with all primes <= bound."""
+def smooth_divisors(factors: tuple[tuple[int, int], ...]) -> list[tuple[int, int, int]]:
+    """(d, phi(d), rad(d)) for the divisors d of a factorization ((p, e), ...)."""
     divs = [(1, 1, 1)]
-    for p, e in factorize(n):
-        if p <= bound:
-            powers = [(1, 1, 1)] + [(p**i, p ** (i - 1) * (p - 1), p) for i in range(1, e + 1)]
-            divs = [(d * q, f * g, r * s) for d, f, r in divs for q, g, s in powers]
+    for p, e in factors:
+        powers = [(1, 1, 1)] + [(p**i, p ** (i - 1) * (p - 1), p) for i in range(1, e + 1)]
+        divs = [(d * q, f * g, r * s) for d, f, r in divs for q, g, s in powers]
     return divs
 
 

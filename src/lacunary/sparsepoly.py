@@ -87,6 +87,20 @@ class _Stream:
             r = self.next64()
             if r < limit:
                 return r % m
+            if not limit:  # m > 2^64: no one-word draw is below the limit
+                return self._randbelow_words(m)
+
+    def _randbelow_words(self, m: int) -> int:
+        """randbelow for m > 2^64: each draw joins the fewest words that reach m."""
+        words = -(-(m - 1).bit_length() // 64)
+        span = 1 << 64 * words
+        limit = span - span % m
+        while True:
+            r = 0
+            for _ in range(words):
+                r = r << 64 | self.next64()
+            if r < limit:
+                return r % m
 
 
 def sample_random(k: int, N: int, seed: int, index: int) -> SparsePoly:

@@ -143,6 +143,7 @@ def test_candidates_command(capsys):
     ["candidates", "--k", "1000000000"],  # refused after the primes up to 89
     ["bounds", "--k", "1000000000"],  # exp(k / (24 log k)) mid-range moduli overflow a float
     ["estimate", "--k", "100000000", "--N", "100000000", "--n", "2", "--trials", "1"],
+    ["bounds", "--k", str(10**309)],  # past float range; once an OverflowError traceback
 ])
 def test_refused_before_anything_is_listed_or_sampled(argv, capsys):
     start = time.perf_counter()
@@ -252,6 +253,40 @@ def test_pruned_decay_at_large_degree_is_not_refused(capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["3", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the guard once counted every (k+1)-smooth n up to N prod p/(p-1), which
+    # refused k = 13 at N = 10^9; the sweep builds a few hundred products
+    ["decay", "--k-list", "3,5,7,9,11,13", "--N", "1000000000", "--trials", "100"],
+    ["decay", "--k-list", "3,5,13", "--N", str(10**20), "--trials", "300", "--workers", "1"],
+])
+def test_pruned_decay_is_guarded_by_its_products(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == argv[2].split(",")
+
+
+def test_pruned_factors_of_a_large_prime_exponent_are_fast(capsys):
+    # trial division stops at k + 1 = 3 instead of at the square root, 10^8
+    start = time.perf_counter()
+    code, out, _ = run_cli(["factors", "--mode", "fs-pruned", "210", "10000000000000061"], capsys)
+    assert code == 0 and json.loads(out)["factors"] == []
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # 13 exponents with 21 * 13 * 9 * 7 * 5 * 5 smooth divisors each
+    ["factors", "--mode", "fs-pruned"]
+    + [str(j * 2**20 * 3**12 * 5**8 * 7**6 * 11**4 * 13**4) for j in range(1, 14)],
+    ["decay", "--k-list", "120", "--N", "1000000000", "--trials", "5", "--workers", "1"],
+])
+def test_pruned_sweeps_above_the_guard_are_refused(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pruned_decay_at_large_k_is_not_refused(capsys):

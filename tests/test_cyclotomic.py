@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import event, given, settings
@@ -31,9 +31,10 @@ from lacunary.cyclotomic import (
     _partner_kernels,
     _partner_moduli,
     _poly_divexact,
-    _predicted_moduli,
 )
-from lacunary.numtheory import factorize, peel, smooth_divisors, squarefree_kernel, totient
+from lacunary.numtheory import (
+    factorize, peel, primes_up_to, smooth_divisors, squarefree_kernel, totient,
+)
 from lacunary.sparsepoly import _Stream
 
 from oracles import cyclotomic_via_mobius, phi_brute, root_sum_zero_numeric
@@ -449,13 +450,24 @@ def _assert_generated_is_exact(F, caps):
 
 
 def test_smooth_divisors():
-    assert smooth_divisors(1, 1) == [(1, 1, 1)]
-    divs = sorted(smooth_divisors(360, 400))
+    assert smooth_divisors(factorize(1, 1)) == [(1, 1, 1)]
+    divs = sorted(smooth_divisors(factorize(360, 400)))
     assert [d for d, _, _ in divs] == [d for d in range(1, 361) if 360 % d == 0]
     assert all(f == phi_brute(d) and r == squarefree_kernel(d) for d, f, r in divs)
-    divs = sorted(smooth_divisors(2 * 9 * 7 * 11, 7))
+    divs = sorted(smooth_divisors(factorize(2 * 9 * 7 * 11, 7)))
     assert [d for d, _, _ in divs] == [1, 2, 3, 6, 7, 9, 14, 18, 21, 42, 63, 126]
     assert all(f == phi_brute(d) and r == squarefree_kernel(d) for d, f, r in divs)
+
+
+def test_bounded_factorization_is_the_smooth_part():
+    for n in list(range(1, 400)) + [2**40 * 3**3 * 99991, 13**4 * 17 * 101**2, 210 * 999983]:
+        full = factorize(n)
+        for bound in (1, 2, 3, 5, 6, 13, 14, 97, n, n + 1):
+            assert factorize(n, bound) == tuple((p, e) for p, e in full if p <= bound), (n, bound)
+    # trial division stops at the bound, not at the square root of a 10^16 prime
+    start = time.perf_counter()
+    assert factorize(2 * 10000000000000061, 14) == ((2, 1),)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generated_matches_the_walk_exhaustively():
@@ -550,12 +562,77 @@ def test_full_sweep_near_the_guard_against_the_closed_form():
     assert _candidate_moduli.cache_info().currsize == 0
 
 
+def _smooth_part(x, bound):
+    """The largest divisor of x with no prime above bound, and its divisor count."""
+    part, count = 1, 1
+    for p in primes_up_to(bound):
+        e = 0
+        while x % p == 0:
+            x, e = x // p, e + 1
+        part, count = part * p**e, count * (e + 1)
+    return part, count
+
+
 def test_pruned_guard_prediction_bounds_the_walk():
-    for k in range(1, 14):
-        for N in (1, 7, 100, 3000):
-            assert _predicted_moduli(N, k) >= len(_candidate_moduli(N, k, None)), (k, N)
-    assert _predicted_moduli(10**8, 3) == 29 * 18  # 2^a 3^b <= 3 * 10^8
-    assert _predicted_moduli(10**4, None) == pytest.approx(19436)
+    # a pruned sweep tries g * m for each (k+1)-smooth divisor g of an exponent
+    # and each admissible kernel m, and the guard counts those products before
+    # listing any divisor, so the count bounds every modulus the sweep touches
+    for k in (1, 2, 3, 5, 8, 13, 20, 40):
+        kernels = admissible_kernels(k)
+        for N in (60, 3000, 10**9, 10**15):
+            F = sample_random(k, N, 83, N % 97)
+            products = len(kernels) * sum(_smooth_part(x, k + 1)[1] for x in F.exponents)
+            moduli = _partner_moduli(F, k, None)
+            assert len(moduli) <= products, (k, N)
+            if N <= 3000:
+                parts = [_smooth_part(x, k + 1)[0] for x in F.exponents]
+                touched = {g * m for x in parts for g in range(1, x + 1) if x % g == 0 for m in kernels}
+                assert set(moduli) <= touched and len(touched) <= products, (k, N)
+    # the range term still refuses a full sweep before it factors anything
+    F = SparsePoly((10**8,), 10**8)
+    with pytest.raises(ResourceLimitError, match="1.95e"):
+        _partner_moduli(F, None, None)
+    assert 512 in _partner_moduli(F, 1, None)
+
+
+def _divisors_of_smooth_part(x, bound):
+    """Every divisor of x with no prime above bound, ascending."""
+    divs = [1]
+    for p in primes_up_to(bound):
+        e = 0
+        while x % p == 0:
+            x, e = x // p, e + 1
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def test_pruned_factors_at_large_degree_against_the_closed_form():
+    # 1 + x^a + ... + x^{ka}: Phi_n divides it exactly when n divides (k+1)a but
+    # not a, and a pruned sweep keeps the n with an admissible kernel, each of
+    # which divides the (k+1)-smooth part of (k+1)a; N runs from 10^9 to 10^20
+    for k in (1, 2, 3, 5, 6, 11, 13):
+        members = set(admissible_kernels(k))
+        for a in (720 * 999983 * 1009, 2**30 * 3**5 * 1000003, 10**17 + 3,
+                  2**20 * 3**12 * 5**3 * 7**2 * 11 * 13, 2**60 * 5, 3**40):
+            F = SparsePoly(tuple(a * i for i in range(1, k + 1)), k * a)
+            expect = [
+                n for n in _divisors_of_smooth_part((k + 1) * a, k + 1)
+                if n > 1 and a % n and squarefree_kernel(n) in members
+            ]
+            assert expect and find_cyclotomic_factors(F, "fs-pruned") == expect, (k, a)
+
+
+def test_pruned_factors_at_large_degree_match_the_walk_under_a_cap():
+    polys = [sample_random(k, N, 97, k) for k in (3, 5, 8, 13) for N in (10**9, 10**12, 10**16, 10**20)]
+    # Phi_3(x^m) Phi_5(x^c) and Phi_2(x^m) Phi_7(x^c) have factors below the caps
+    polys.append(_product(_gon(3, 4 * 10**8), _gon(5, 6 * 10**11)))
+    polys.append(_product(_gon(2, 9 * 10**15), _gon(7, 10**18 + 1)))
+    for F in polys:
+        for cap in (10**4, 10**6):
+            assert find_cyclotomic_factors(F, "fs-pruned", cap) == _reference_factors(F, "fs-pruned", cap), (
+                F.exponents, cap,
+            )
+    assert find_cyclotomic_factors(polys[-2], "fs-pruned", 10**4)[:4] == [3, 6, 12, 15]
 
 
 # --- one grouping per peel prime power ---------------------------------------------

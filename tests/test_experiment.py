@@ -294,3 +294,15 @@ def test_report_json_mirror():
     rec2 = report_to_json(estimate_any_cyclotomic(3, 20, 100, seed=1, mode="fs-pruned"))
     assert rec2["n_or_any"] == "any"
     assert rec2["mode"] == "monte-carlo:fs-pruned"
+    # each CSV row is the JSON record, strings as they are and numbers by repr
+    reports = [
+        r,
+        exhaustive_enumeration(4, 10, mode="fs-pruned"),
+        estimate_phi_n(5, 30, 3, 200, seed=2),
+        *decay_series([3, 5], 60, 100, seed=8),
+    ]
+    header, *rows = reports_to_csv(reports).splitlines()
+    assert header == ",".join(rec)
+    for row, report in zip(rows, reports, strict=True):
+        assert row.split(",") == [str(v) for v in report_to_json(report).values()]
+        assert row.split(",")[6:9] == [repr(report.estimate), repr(report.ci_low), repr(report.ci_high)]

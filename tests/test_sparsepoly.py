@@ -1,6 +1,8 @@
 """Representation, sampling, and exact distribution of residue counts."""
 
+import hashlib
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +138,29 @@ def test_sample_forced_cases():
 def test_sample_regression_fixture():
     # frozen first output of the counter-based generator
     assert sample_random(5, 100, 42, 0).exponents == (16, 24, 53, 61, 75)
+
+
+def test_one_word_stream_is_frozen():
+    # every draw below 2^64 takes one word; the multi-word draw above it must not touch them
+    h = hashlib.sha256()
+    for seed in (0, 1, 7):
+        for N in (1, 2, 10, 1000, 10**9, 2**63, 2**64 - 1, 2**64):
+            for k in (1, 3, 13):
+                if k <= N:
+                    for index in range(4):
+                        h.update(repr(sample_random(k, N, seed, index).exponents).encode())
+    assert h.hexdigest() == "a40228724277b43356bd3d5665baefaffd5c8e9e98cdef8f220087084860a9b0"
+
+
+@pytest.mark.parametrize("N", [2**64 + 1, 10**20, 2**200])
+def test_sample_above_two_to_the_64(N):
+    # a one-word rejection limit is 0 above 2^64, and the draw once never returned
+    start = time.perf_counter()
+    for index in range(3):
+        exps = sample_random(13, N, 5, index).exponents
+        assert len(set(exps)) == 13 and 1 <= exps[0] and exps[-1] <= N
+    assert sample_random(13, N, 5, 0) == sample_random(13, N, 5, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sample_validation():
