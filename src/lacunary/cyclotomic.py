@@ -29,10 +29,12 @@ benchmark's check of it:
 A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
 whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
 It can be pruned to moduli whose squarefree kernel survives the term-count
-test (see bounds.admissible_kernels).  Sweeps never list the range: its
-last modulus, sweep_cap(N), comes from a branch and bound over prime
-powers, and each candidate is checked against the range from its own
-factorisation.
+test (see bounds.admissible_kernels).  Sweeps never list the range: each
+candidate is checked against it from its own factorisation.  A full sweep
+builds no candidate past the range's last modulus, sweep_cap(N), which
+comes from a branch and bound over prime powers; a pruned one none past
+N prod p / (p - 1) over the primes p <= k + 1, since a (k+1)-smooth n has
+n / phi(n) at most that.
 
 Within the range, only moduli generated from F's own exponents are tested.
 If the n-th cyclotomic polynomial divides F, the k + 1 roots zeta_n^t,
@@ -51,13 +53,13 @@ tests them in ascending order, so factor lists and early exits are those
 of the whole range.
 
 The guard refuses a sweep before it lists anything.  A full sweep is
-refused on its range, about 1.9436 N moduli, or on its cap, before any
-exponent is factored, since g may hold any prime of e_j and factoring a
-whole exponent costs sqrt(e_j).  A pruned modulus is (k+1)-smooth, so a
-pruned sweep factors only the (k+1)-smooth part of each exponent, in O(k)
-steps, and is refused only when the products it would build, the
-admissible kernels times the smooth divisors over all exponents, pass the
-guard as well as the range and the cap.
+refused on its range, about 1.9436 N moduli (an exact integer, so any N
+has one), or on its cap, before any exponent is factored, since g may hold
+any prime of e_j and factoring a whole exponent costs sqrt(e_j).  A pruned
+modulus is (k+1)-smooth, so a pruned sweep factors only the (k+1)-smooth
+part of each exponent, in O(k) steps, and is refused only when the
+products it would build, the admissible kernels times the smooth divisors
+over all exponents, pass the guard as well as the range and the cap.
 """
 
 from collections import Counter
@@ -230,9 +232,6 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
 
 # --- candidate sweep -----------------------------------------------------------
 
-# F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
-# About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify.
-_PHI_DENSITY = 1.9436
 # above this k the generated products cost more than testing the whole range;
 # k = 120 admits 15,850 kernels, k = 121 admits 16,442
 _GENERATE_MAX_K = 120
@@ -241,7 +240,10 @@ _GENERATE_MAX_K = 120
 def _guard(N: int, cap: int | None, products: int | float = inf) -> None:
     """Refuse a sweep before anything is listed: its range holds about
     1.9436 N moduli, its cap bounds them, and so do the products it builds."""
-    refuse_above(min(_PHI_DENSITY * N, inf if cap is None else cap, products), "candidate moduli")
+    # F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
+    # About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify, counted
+    # in integers and rounded up, so that any N has a count.
+    refuse_above(min(-(-19436 * N // 10000), inf if cap is None else cap, products), "candidate moduli")
 
 
 @lru_cache(maxsize=4)
@@ -274,6 +276,12 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
     return tuple(sorted(found))
 
 
+# _largest_modulus walks within these primes for every N the guard lets
+# through (N <= 5,145,091)
+_WALK_LIMIT = 1024
+_WALK_PRIMES = primes_up_to(_WALK_LIMIT)
+
+
 @lru_cache(maxsize=256)
 def _largest_modulus(N: int) -> int:
     """Largest n with phi(n) <= N, by branch and bound over prime powers.
@@ -283,9 +291,9 @@ def _largest_modulus(N: int) -> int:
     ... while phi * prod (p - 1) <= N: the j-th new prime is at least
     p_{i+j}, so no extension has more primes or a larger ratio.  The bound
     only falls as i grows, so a node stops at the first i it cannot beat.
-    A walk that looks past the sieved primes sieves twice as far and starts
-    again.  Up to N = 10^6 most walks stop at primes to 64, 128 or 256;
-    14,181 N need 512, the first N = 12,094, and none needs more.
+    The walk indexes the primes to _WALK_LIMIT, sieved once; a walk that
+    looks past them (a direct call far above the guard) sieves twice as far
+    and starts again.
     """
 
     def walk(i: int, n: int, phi: int) -> None:
@@ -304,14 +312,15 @@ def _largest_modulus(N: int) -> int:
                 m, f = m * p, f * p
             i += 1
 
-    limit = 64
+    limit, primes = _WALK_LIMIT, _WALK_PRIMES
     while True:
-        primes, best = primes_up_to(limit), 1
+        best = 1
         try:
             walk(0, 1, 1)
             return best
         except IndexError:
             limit *= 2
+            primes = primes_up_to(limit)
 
 
 def sweep_cap(N: int) -> int:
@@ -320,6 +329,17 @@ def sweep_cap(N: int) -> int:
         raise InvalidParametersError(f"degree cap must be >= 1, got {N}")
     _guard(N, None)
     return _largest_modulus(N)
+
+
+@lru_cache(maxsize=64)
+def _smooth_ratio(k: int) -> tuple[int, int]:
+    """(prod p, prod (p - 1)) over the primes p <= k + 1.
+
+    A (k+1)-smooth n has n / phi(n) = prod_{p | n} p / (p - 1) at most their
+    ratio, so phi(n) <= N puts it at most N times that ratio.
+    """
+    primes = primes_up_to(k + 1)
+    return prod(primes), prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=64)
@@ -352,8 +372,14 @@ def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequenc
     factors = [factorize(e, None if k is None else k + 1) for e in poly.exponents]
     if k is not None:
         _guard(N, cap, len(kernels) * sum(prod(a + 1 for _, a in f) for f in factors))
-    # every modulus of the range, pruned or not, has phi(n) <= N
-    top = _largest_modulus(N) if cap is None else min(_largest_modulus(N), cap)
+    # every modulus of the range has phi(n) <= N, and a pruned one is (k+1)-smooth
+    if k is None:
+        top = _largest_modulus(N)
+    else:
+        num, den = _smooth_ratio(k)
+        top = N * num // den
+    if cap is not None:
+        top = min(top, cap)
     seen, moduli = set(), []
     for e, f in zip(poly.exponents, factors):
         for g, phi_g, rad_g in smooth_divisors(f):

@@ -28,14 +28,19 @@ The Gram determinant is a positive integer, computed exactly from the same
 recursion.  For n = p^e the supports are disjoint p-sets, so G = p I.
 Otherwise the q shifted copies of the basis for n' = n/q lie in distinct
 residue classes mod q, and l -> n' i + q l is injective mod n, so the
-leading block of G is I_q (x) G' with G' the Gram for n'; this is checked
-before it is used.  With delta = det G', A = adj G' (fraction-free
-Gauss-Jordan, cached per n'), E the Gram of the m products and C_i their
-inner products with copy i, T = delta E - sum_i C_i^T A C_i is delta times
-a Schur complement of G, hence positive definite, and
-det G = delta^q det T / delta^m.  Only det T, an m x m determinant with
-m = (q/p) phi(n'), is taken by fraction-free (Bareiss) elimination, which
-needs no pivot search on a positive definite matrix.  The result equals
+leading block of G is I_q (x) G' with G' the Gram for n'.  With
+step = q/p, product t step + s meets copy i only when i = s mod step, and
+there at the n'-coordinate t, so its inner products with copy i are b_t,
+column t of the basis for n'; the products are disjoint p-sets, so their
+Gram is p I.  All three structures are checked before they are used.  With
+delta = det G', A = adj G' (fraction-free Gauss-Jordan) and C_i the
+products' inner products with copy i, T = delta p I - sum_i C_i^T A C_i is
+delta times a Schur complement of G, hence positive definite, and
+det G = delta^q det T / delta^m with m = step phi(n').  Each product meets
+p copies, so T = p (delta I - F) (x) I_step with F[t1][t2] = b_t1 . A b_t2
+(cached per n'), and det T = p^m det(delta I - F)^step: one phi(n') x phi(n')
+determinant, taken by fraction-free (Bareiss) elimination, which needs no
+pivot search on a positive definite matrix.  The result equals
 prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)| for every
 n <= 300 (tested); a sublattice of index j would have j^2 times that
 determinant, so for those n the basis spans the whole lattice.
@@ -156,10 +161,18 @@ def _adjugate(mat) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _copy_block(n: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
-    """(Gram, its determinant, its adjugate) of the basis for n."""
+def _copy_block(n: int):
+    """(Gram, its determinant delta, the basis columns at t < phi(n), F) for the basis for n.
+
+    F[t1][t2] = column t1 . adj(Gram) . column t2: a product of the basis for
+    q n meets a copy of this basis in one column t (module docstring).
+    """
     basis = build_basis(n)
-    return basis.gram, basis.gram_det, _adjugate(basis.gram)
+    adj = _adjugate(basis.gram)
+    cols = tuple(zip(*basis.vectors))[: totient(n)]
+    ys = [[sum(a * x for a, x in zip(arow, c) if x) for arow in adj] for c in cols]
+    f = tuple(tuple(sum(x * v for x, v in zip(c, y) if x) for y in ys) for c in cols)
+    return basis.gram, basis.gram_det, cols, f
 
 
 def _gram_det(n: int, gram: list[list[int]]) -> int:
@@ -170,25 +183,26 @@ def _gram_det(n: int, gram: list[list[int]]) -> int:
         if any(gram[i][j] != (p if i == j else 0) for i in range(r) for j in range(r)):
             raise ArithmeticError(f"Gram for n={n} is not {p} I")
         return p**r
-    sub, delta, adj = _copy_block(nprime)
-    rp = len(sub)
+    sub, delta, cols, f = _copy_block(nprime)
+    rp, step = len(sub), q // p
     lead = q * rp
     for a in range(lead):
         i, j = divmod(a, rp)
         row, lo = gram[a], i * rp
         if tuple(row[lo : lo + rp]) != sub[j] or any(row[:lo]) or any(row[lo + rp : lead]):
             raise ArithmeticError(f"leading block of the Gram for n={n} is not I_{q} x Gram({nprime})")
-    products = gram[lead:]
-    t = [[delta * x for x in row[lead:]] for row in products]
-    for lo in range(0, lead, rp):
-        # the columns of C_i that meet copy i; the rest contribute nothing
-        cols = [(j, c) for j, row in enumerate(products) if any(c := row[lo : lo + rp])]
-        ys = [(j, [sum(a * x for a, x in zip(arow, c) if x) for arow in adj]) for j, c in cols]
-        for j1, c in cols:
-            t_row = t[j1]
-            for j2, y in ys:
-                t_row[j2] -= sum(x * v for x, v in zip(c, y) if x)
-    det, remainder = divmod(delta**q * _bareiss_det(t), delta ** len(t))
+    zero = (0,) * rp
+    for j, row in enumerate(gram[lead:]):
+        t, s = divmod(j, step)
+        if any(tuple(row[lo : lo + rp]) != (cols[t] if i % step == s else zero)
+               for i, lo in enumerate(range(0, lead, rp))):
+            raise ArithmeticError(f"product {j} of the Gram for n={n} does not meet the copies in column {t}")
+        if any(x != (p if c == j else 0) for c, x in enumerate(row[lead:])):
+            raise ArithmeticError(f"product block of the Gram for n={n} is not {p} I")
+    # T = p (delta I - F) (x) I_step: one phi(n') x phi(n') determinant gives det T
+    block = [[delta * (a == b) - x for b, x in enumerate(row)] for a, row in enumerate(f)]
+    m = r - lead
+    det, remainder = divmod(delta**q * p**m * _bareiss_det(block) ** step, delta**m)
     if remainder:
         raise ArithmeticError(f"Schur complement determinant for n={n} is not an integer")
     return det

@@ -144,6 +144,7 @@ def test_candidates_command(capsys):
     ["bounds", "--k", "1000000000"],  # exp(k / (24 log k)) mid-range moduli overflow a float
     ["estimate", "--k", "100000000", "--N", "100000000", "--n", "2", "--trials", "1"],
     ["bounds", "--k", str(10**309)],  # past float range; once an OverflowError traceback
+    ["factors", "6", str(10**309)],  # the same, from the range term of the sweep guard
 ])
 def test_refused_before_anything_is_listed_or_sampled(argv, capsys):
     start = time.perf_counter()
@@ -271,6 +272,16 @@ def test_pruned_factors_of_a_large_prime_exponent_are_fast(capsys):
     # trial division stops at k + 1 = 3 instead of at the square root, 10^8
     start = time.perf_counter()
     code, out, _ = run_cli(["factors", "--mode", "fs-pruned", "210", "10000000000000061"], capsys)
+    assert code == 0 and json.loads(out)["factors"] == []
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("N", [10**200, 10**309], ids=["1e200", "1e309"])
+def test_pruned_factors_at_a_large_degree_are_fast(N, capsys):
+    # the products stop at N prod p / (p - 1), with no walk for the largest modulus,
+    # also past float range, where the full sweep is refused
+    start = time.perf_counter()
+    code, out, _ = run_cli(["factors", "--mode", "fs-pruned", "6", str(N)], capsys)
     assert code == 0 and json.loads(out)["factors"] == []
     assert time.perf_counter() - start < 1.0
 

@@ -31,9 +31,11 @@ from lacunary.cyclotomic import (
     _partner_kernels,
     _partner_moduli,
     _poly_divexact,
+    _smooth_ratio,
 )
+import lacunary.cyclotomic as cyclotomic_module
 from lacunary.numtheory import (
-    factorize, peel, primes_up_to, smooth_divisors, squarefree_kernel, totient,
+    factorize, peel, primes_up_to, smooth_divisors, squarefree_kernel, totient, totient_sieve,
 )
 from lacunary.sparsepoly import _Stream
 
@@ -256,13 +258,44 @@ def test_sweep_cap_small():
 
 
 def test_sweep_cap_past_the_first_sieve():
-    # the branch and bound sieves primes to 64 and, when a node looks further,
-    # sieves twice as far and walks again: 5,000 needs 128, 10^6 256, 12,094
-    # 512 and 10^9 1,024
+    # these walks look past the primes to 64: 5,000 to 128, 10^6 to 256, 12,094
+    # to 512 and 10^9 to 1,024
     assert sweep_cap(5000) == 23100
     assert sweep_cap(10**6) == 5290740
     assert sweep_cap(12094) == 60060
     assert _largest_modulus(10**9) == 6023507490  # above the guard for sweep_cap
+
+
+@pytest.mark.parametrize("N", [716, 6804, 12094, 10**9])
+def test_largest_modulus_walks_within_the_first_sieve(N, monkeypatch):
+    # each looks past the primes to 64, 10^9 past those to 512
+    sieves = []
+    monkeypatch.setattr(cyclotomic_module, "primes_up_to", lambda m: sieves.append(m) or primes_up_to(m))
+    _largest_modulus.__wrapped__(N)
+    assert sieves == []
+
+
+def test_largest_modulus_sieves_further_when_it_must(monkeypatch):
+    # from primes to 64, the walk restarts until its sieve is long enough
+    monkeypatch.setattr(cyclotomic_module, "_WALK_LIMIT", 64)
+    monkeypatch.setattr(cyclotomic_module, "_WALK_PRIMES", primes_up_to(64))
+    assert _largest_modulus.__wrapped__(12094) == 60060
+    assert _largest_modulus.__wrapped__(10**9) == 6023507490
+
+
+def test_pruned_top_bounds_every_smooth_modulus():
+    # n / phi(n) only grows as N does, so checking n at N = phi(n) covers every
+    # N <= 3000; sweep_cap(3000) is the last n with phi(n) <= 3000
+    top = sweep_cap(3000)
+    phi = totient_sieve(top)
+    largest = [0] * (top + 1)
+    for p in primes_up_to(top):
+        largest[p::p] = [p] * len(range(p, top + 1, p))
+    for k in range(1, 14):
+        num, den = _smooth_ratio(k)
+        for n in range(2, top + 1):
+            if phi[n] <= 3000 and largest[n] <= k + 1:
+                assert n <= phi[n] * num // den, (k, n)
 
 
 def test_sweep_cap_against_brute_force():
@@ -356,6 +389,8 @@ def test_unknown_sweep_mode_raises():
 def test_sweep_guard_refuses_before_allocating():
     with pytest.raises(ResourceLimitError):
         sweep_cap(10**8)
+    with pytest.raises(ResourceLimitError, match="1.95e\\+309 "):
+        sweep_cap(10**309)  # past float range: the range term is an exact integer
     with pytest.raises(ResourceLimitError):
         find_cyclotomic_factors(SparsePoly((10**8,), 10**8))
 

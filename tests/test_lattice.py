@@ -208,8 +208,11 @@ def test_adjugate_matches_fraction_inverse_on_random_grams():
 
 def test_gram_det_rejects_a_gram_without_the_block_structure():
     # n = 9: G = 3 I.  n = 12 = 3 * 4: rows 0-1 and 2-3 are two copies of the rank 2
-    # basis for 4, with disjoint supports.  A shared point breaks either structure.
-    for n, (i, j) in ((9, (0, 1)), (12, (0, 2))):
+    # basis for 4, with disjoint supports.  n = 36 = 9 * 4, step 3: product row 18
+    # (t = 0, s = 0) meets copies 0, 3 and 6 in column 0 of the basis for 4, (1, 0),
+    # and no other copy or product.  A shared point breaks any of these structures:
+    # with product 19, with copy 1, or with the second vector of copy 0.
+    for n, (i, j) in ((9, (0, 1)), (12, (0, 2)), (36, (18, 19)), (36, (18, 2)), (36, (18, 1))):
         gram = [list(row) for row in build_basis(n).gram]
         assert _gram_det(n, gram) == build_basis(n).gram_det
         gram[i][j] = gram[j][i] = 1
