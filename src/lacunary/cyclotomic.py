@@ -404,6 +404,8 @@ def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
     """
     if mode not in ("full-sweep", "fs-pruned"):
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
+    if cap is not None and cap < 1:
+        raise InvalidParametersError(f"cap must be >= 1, got {cap}")
     k = poly.k if mode == "fs-pruned" else None
     vec = dict.fromkeys((0,) + poly.exponents, 1)
     classes_by_q: dict[int, dict[int, list[list[int]]] | None] = {}

@@ -129,8 +129,8 @@ def estimate_any_cyclotomic(
     cap: int | None = None,
 ) -> EstimateReport:
     """Monte Carlo estimate of P(F has any cyclotomic factor) under a sweep mode."""
-    if not 1 <= k <= N or trials < 1 or workers < 1:
-        raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1")
+    if not 1 <= k <= N or trials < 1 or workers < 1 or (cap is not None and cap < 1):
+        raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1, cap >= 1")
     return _estimates([(k, N, None, mode, cap)], trials, seed, workers)[0]
 
 

@@ -13,10 +13,11 @@ and takes
   t < phi(n') and s < q/p, with supports {(q t + (s + j q/p) n') mod n : j < p};
   for n = p^e (n' = 1) they are the whole basis.
 
-Only the products are checked with root_power_sum_is_zero: a copy is a root
-of unity times the image of a relation for n', checked when that basis was
-built, under a ring map, so it is a relation too.  A basis with more than
-10^7 vector and Gram entries (rank * n + rank^2) is refused before it is built.
+Both kinds are relations by construction, so none is re-proved here: a copy
+is a root of unity times the image of a relation for n' under a ring map,
+and a product is zeta_n^x (1 + zeta_p + ... + zeta_p^{p-1}), a rotated
+vanishing p-block.  A basis with more than 10^7 vector and Gram entries
+(rank * n + rank^2) is refused before it is built.
 
 Every vector produced is a 0,1-vector, so the Gram entry of two supports is
 the number of residues they share, counted from a residue-to-support index
@@ -33,21 +34,31 @@ step = q/p, product t step + s meets copy i only when i = s mod step, and
 there at the n'-coordinate t, so its inner products with copy i are b_t,
 column t of the basis for n'; the products are disjoint p-sets, so their
 Gram is p I.  All three structures are checked before they are used.  With
-delta = det G', A = adj G' (fraction-free Gauss-Jordan) and C_i the
-products' inner products with copy i, T = delta p I - sum_i C_i^T A C_i is
-delta times a Schur complement of G, hence positive definite, and
-det G = delta^q det T / delta^m with m = step phi(n').  Each product meets
-p copies, so T = p (delta I - F) (x) I_step with F[t1][t2] = b_t1 . A b_t2
-(cached per n'), and det T = p^m det(delta I - F)^step: one phi(n') x phi(n')
-determinant, taken by fraction-free (Bareiss) elimination, which needs no
-pivot search on a positive definite matrix.  The result equals
+delta = det G', rp = n' - phi(n') its size, B the rp x phi(n') matrix of
+the columns b_t and C_i the products' inner products with copy i, the
+Schur complement of the leading block is S = p I - sum_i C_i^T G'^-1 C_i.
+Each product meets p copies, so S = p (I - B^T G'^-1 B) (x) I_step and
+det G = delta^q p^m det(I - B^T G'^-1 B)^step, with m = step phi(n').
+Sylvester's identity gives det(I - B^T G'^-1 B) = det(G' - B B^T) / delta,
+and G' - B B^T is the tail Gram: the Gram of the basis for n' on its
+coordinates phi(n')..n'-1.  With D its determinant (cached per n', taken by
+fraction-free Bareiss elimination, which needs no pivot search on a
+positive definite matrix), det G = delta^(q - step) p^m D^step, and
+q - step = phi(q).
+
+D = det(tail block)^2 for the square rp x rp tail block, and D = 1 exactly
+when the basis for n' spans its lattice.  A relation for n', read as a
+polynomial of degree < n', is a multiple Phi Q of the n'-th cyclotomic
+polynomial with deg Q < rp.  Phi is monic, so the coordinates
+phi(n')..n'-1 of Phi Q are those of Q under a unit triangular map, and
+restricting to them maps the lattice onto Z^rp.  The result equals
 prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)| for every
 n <= 300 (tested); a sublattice of index j would have j^2 times that
 determinant, so for those n the basis spans the whole lattice.
 
-Ball counting is exact in integers.  Scaled by D, the common denominator of
-the center, every D^2 |anchor + B^T t - center|^2 is an integer, and a point
-counts when it is at most M = floor(D^2 (radius^2 + slack)).  The count is the
+Ball counting is exact in integers.  Scaled by c, the common denominator of
+the center, every c^2 |anchor + B^T t - center|^2 is an integer, and a point
+counts when it is at most M = floor(c^2 (radius^2 + slack)).  The count is the
 total of a norm distribution {norm: count} keyed by the norms reached.  Vectors
 with disjoint supports contribute independently, so the distribution of a set
 of vectors is the convolution, truncated at M, of those of its classes linked
@@ -76,7 +87,6 @@ from math import ceil, exp, floor, inf, isfinite, lcm, log, sqrt
 from .bounds import ball_volume_log
 from .errors import InvalidParametersError, refuse_above
 from .numtheory import peel, totient
-from .cyclotomic import root_power_sum_is_zero
 
 _SLACK = 1e-9
 
@@ -138,41 +148,23 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return m[r - 1][r - 1]
 
 
-def _adjugate(mat) -> tuple[tuple[int, ...], ...]:
-    """delta * mat^-1 for a positive definite integer matrix, delta = det mat.
-
-    Fraction-free Gauss-Jordan on [mat | I] without row swaps: every entry
-    stays a minor of the augmented matrix, so each division by the previous
-    pivot is exact, and at the end the left half is delta * I and the right
-    half is the adjugate.
-    """
-    r = len(mat)
-    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(mat)]
-    prev = 1
-    for k in range(r):
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(r):
-            if i != k:
-                cik = m[i][k]
-                m[i] = [(x * pivot - cik * y) // prev for x, y in zip(m[i], row_k)]
-        prev = pivot
-    return tuple(tuple(row[r:]) for row in m)
-
-
 @lru_cache(maxsize=64)
 def _copy_block(n: int):
-    """(Gram, its determinant delta, the basis columns at t < phi(n), F) for the basis for n.
+    """(Gram, its determinant delta, the basis columns at t < phi(n), D) for the basis for n.
 
-    F[t1][t2] = column t1 . adj(Gram) . column t2: a product of the basis for
-    q n meets a copy of this basis in one column t (module docstring).
+    A product of the basis for q n meets a copy of this basis in one column t
+    (module docstring).  D is the determinant of the tail Gram, the Gram of
+    the basis on its coordinates phi(n)..n-1: Gram - sum_t column t column t^T.
     """
     basis = build_basis(n)
-    adj = _adjugate(basis.gram)
     cols = tuple(zip(*basis.vectors))[: totient(n)]
-    ys = [[sum(a * x for a, x in zip(arow, c) if x) for arow in adj] for c in cols]
-    f = tuple(tuple(sum(x * v for x, v in zip(c, y) if x) for y in ys) for c in cols)
-    return basis.gram, basis.gram_det, cols, f
+    tail = [list(row) for row in basis.gram]
+    for c in cols:  # 0,1 columns: each pair of supports holding point t loses 1
+        held = [i for i, x in enumerate(c) if x]
+        for i in held:
+            for j in held:
+                tail[i][j] -= 1
+    return basis.gram, basis.gram_det, cols, _bareiss_det(tail)
 
 
 def _gram_det(n: int, gram: list[list[int]]) -> int:
@@ -183,7 +175,7 @@ def _gram_det(n: int, gram: list[list[int]]) -> int:
         if any(gram[i][j] != (p if i == j else 0) for i in range(r) for j in range(r)):
             raise ArithmeticError(f"Gram for n={n} is not {p} I")
         return p**r
-    sub, delta, cols, f = _copy_block(nprime)
+    sub, delta, cols, tail_det = _copy_block(nprime)
     rp, step = len(sub), q // p
     lead = q * rp
     for a in range(lead):
@@ -199,13 +191,8 @@ def _gram_det(n: int, gram: list[list[int]]) -> int:
             raise ArithmeticError(f"product {j} of the Gram for n={n} does not meet the copies in column {t}")
         if any(x != (p if c == j else 0) for c, x in enumerate(row[lead:])):
             raise ArithmeticError(f"product block of the Gram for n={n} is not {p} I")
-    # T = p (delta I - F) (x) I_step: one phi(n') x phi(n') determinant gives det T
-    block = [[delta * (a == b) - x for b, x in enumerate(row)] for a, row in enumerate(f)]
-    m = r - lead
-    det, remainder = divmod(delta**q * p**m * _bareiss_det(block) ** step, delta**m)
-    if remainder:
-        raise ArithmeticError(f"Schur complement determinant for n={n} is not an integer")
-    return det
+    # det G = delta^(q - step) p^m D^step, by Sylvester's identity (module docstring)
+    return delta ** (q - step) * p ** (r - lead) * tail_det**step
 
 
 @lru_cache(maxsize=64)
@@ -229,9 +216,6 @@ def build_basis(n: int) -> RelationBasis:
         for t in range(totient(nprime))
         for s in range(step)
     ]
-    for y in products:
-        if not root_power_sum_is_zero(y, n):
-            raise ArithmeticError(f"non-relation vector for n={n}")
     supports += products
     if len(supports) != rank:
         raise ArithmeticError(f"basis for n={n} has {len(supports)} vectors, rank is {rank}")
@@ -283,7 +267,7 @@ def volume_count_bound(basis: RelationBasis, radius: float) -> float:
     Inflates the radius by the longest mesh vector, divides the resulting
     ball volume by the mesh volume sqrt(det Gram).
     """
-    if radius < 0:
+    if not radius >= 0:  # nan compares false
         raise InvalidParametersError(f"radius must be >= 0, got {radius}")
     r = basis.rank
     try:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -111,6 +112,32 @@ def test_cap_override_limits_sweep(capsys):
 
 
 # --- inspection commands -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["factors", "1", "2"],
+    ["test", "POLYS"],
+    ["estimate", "--k", "2", "--N", "10", "--trials", "300", "--workers", "2"],
+])
+def test_cap_below_one_is_invalid_parameters(argv, cap, tmp_path, monkeypatch, capsys):
+    # a cap below 1 leaves no modulus to test, so it would read 1 + x + x^2 = Phi_3
+    # as "no factor"; the estimate is refused before any pool is opened
+    f = tmp_path / "polys.txt"
+    f.write_text("1 2\n")
+    argv = [str(f) if a == "POLYS" else a for a in argv]
+    pools = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: pools.append(method))
+    code, out, err = run_cli(argv + ["--cap-override", cap], capsys)
+    assert code == 4 and out == "" and pools == []
+    assert json.loads(err)["error"] == "InvalidParametersError"
+    assert len(err.strip().split("\n")) == 1
+
+
+def test_cap_of_one_leaves_no_modulus(capsys):
+    code, out, _ = run_cli(["factors", "1", "2", "--cap-override", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["factors"] == []
 
 
 def test_basis_command(capsys):

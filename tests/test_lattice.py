@@ -19,7 +19,7 @@ from lacunary import (
 )
 from lacunary import lattice
 from lacunary.cyclotomic import _cyclotomic_coeffs, _poly_mod
-from lacunary.lattice import _adjugate, _bareiss_det, _copy_block, _gram_det
+from lacunary.lattice import _bareiss_det, _copy_block, _gram_det
 from lacunary.numtheory import factorize, omega, totient
 from oracles import fincke_pohst_count
 
@@ -176,7 +176,8 @@ def test_bareiss_det_matches_fraction_determinant_on_random_grams():
 
 def test_gram_det_equals_bareiss_of_the_whole_gram():
     # Bareiss on the whole rank x rank Gram is the reference for the block recursion
-    for n in list(range(2, 121)) + [210, 240, 288, 300]:
+    # 250 = 125 * 2 and 270 = 5 * 54 have q - step > 1 and n' > 1
+    for n in list(range(2, 121)) + [210, 240, 250, 270, 288, 300]:
         b = build_basis(n)
         assert _bareiss_det([list(row) for row in b.gram]) == b.gram_det, n
 
@@ -192,18 +193,34 @@ def test_gram_det_closed_form_certifies_the_basis():
         assert build_basis(n).gram_det == expected, n
 
 
-def test_adjugate_matches_fraction_inverse_on_random_grams():
-    rng = random.Random(13)
-    for _ in range(40):
-        r = rng.randint(1, 7)
-        vectors = [[rng.randint(-3, 3) for _ in range(r + 2)] for _ in range(r)]
-        g = gram_of(vectors)
-        det = fraction_det(g)
-        if det == 0:
-            continue
-        adj = _adjugate(g)
-        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in g]
-        assert product == [[det * (i == j) for j in range(r)] for i in range(r)]
+def fraction_inverse(mat):
+    """Inverse by Gauss-Jordan elimination over the rationals, with row swaps."""
+    r = len(mat)
+    m = [[Fraction(x) for x in row] + [int(i == j) for j in range(r)] for i, row in enumerate(mat)]
+    for k in range(r):
+        piv = next(i for i in range(k, r) if m[i][k])
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(r):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return [row[r:] for row in m]
+
+
+def test_tail_determinant_spans_and_meets_the_schur_route():
+    # D, the determinant of the Gram on coordinates phi(m)..m-1, is 1 exactly
+    # when the basis for m spans its lattice.  By Sylvester's identity
+    # delta^(phi(m) - 1) D = det(delta I - B^T delta G^-1 B), B the columns t < phi(m)
+    for m in range(2, 151):
+        assert _copy_block(m)[3] == 1, m
+    for m in (4, 6, 9, 12, 15, 30, 36):
+        gram, delta, cols, tail_det = _copy_block(m)
+        inv = fraction_inverse(gram)
+        ys = [[sum(a * x for a, x in zip(row, c)) for row in inv] for c in cols]
+        f = [[delta * sum(x * y for x, y in zip(c, ys[t2])) for t2 in range(len(cols))] for c in cols]
+        block = [[delta * (a == b) - x for b, x in enumerate(row)] for a, row in enumerate(f)]
+        assert delta ** (totient(m) - 1) * tail_det == fraction_det(block), m
 
 
 def test_gram_det_rejects_a_gram_without_the_block_structure():
@@ -239,28 +256,6 @@ def test_copies_are_the_images_of_the_smaller_basis():
             for y in _supports(build_basis(nprime))
         ]
         assert _supports(build_basis(n))[: len(images)] == images, n
-
-
-def test_only_product_supports_are_proved(monkeypatch):
-    # a cold build proves, at each level m = q m' of its peel, the last
-    # rank(m) - q rank(m') supports and none of the copies
-    proved = []
-    monkeypatch.setattr(
-        lattice, "root_power_sum_is_zero", lambda s, m: proved.append((m, tuple(s))) or True
-    )
-    for n in list(range(2, 61)) + [210, 288, 300]:
-        build_basis.cache_clear()
-        _copy_block.cache_clear()
-        proved.clear()
-        build_basis(n)
-        expected, m = [], n
-        while m > 1:
-            p, e = factorize(m)[-1]
-            mprime = m // p**e
-            copies = p**e * (mprime - totient(mprime))
-            expected += [(m, s) for s in _supports(build_basis(m))[copies:]]
-            m = mprime
-        assert sorted(proved) == sorted(expected), n
 
 
 def test_lattice_caches_are_bounded():
@@ -529,6 +524,9 @@ def test_enumeration_guard():
         enumerate_ball(b, BallQuery((0,) * 60, 1e8, 60), (0,) * 60)
     assert volume_count_bound(b, 1e8) == float("inf")
     assert volume_count_bound(b, 10**400) == float("inf")  # an integer past float range
+    assert volume_count_bound(b, float("inf")) == float("inf")
+    with pytest.raises(InvalidParametersError):
+        volume_count_bound(b, float("nan"))  # nan compares false with 0
     # a radius whose square overflows a float predicts inf nodes and is refused
     with pytest.raises(ResourceLimitError):
         enumerate_ball(b, BallQuery((0,) * 60, 1e200, 60), (0,) * 60)

@@ -192,3 +192,37 @@ def test_every_cache_is_bounded():
     caches = [hit for path in sorted(SRC.glob("*.py")) for hit in _cache_decorators(path)]
     assert len(caches) > 5
     assert [name for name, dec in caches if not _has_integer_maxsize(dec)] == []
+
+
+# each library module's sibling imports; a new coupling shows as an edit here
+SIBLINGS = {
+    "bounds": {"errors", "numtheory"},
+    "cli": {"bounds", "cyclotomic", "errors", "experiment", "lattice", "sparsepoly"},
+    "cyclotomic": {"bounds", "errors", "numtheory", "sparsepoly"},
+    "errors": set(),
+    "experiment": {"cyclotomic", "errors", "sparsepoly"},
+    "lattice": {"bounds", "errors", "numtheory"},
+    "numtheory": {"errors"},
+    "sparsepoly": {"errors"},
+}
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lacunary."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("lacunary.")}
+    return found
+
+
+def test_module_dependencies():
+    deps = {
+        path.stem: _sibling_imports(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert deps == SIBLINGS
