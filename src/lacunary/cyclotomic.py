@@ -29,47 +29,61 @@ benchmark's check of it:
 A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
 whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
 It can be pruned to moduli whose squarefree kernel survives the term-count
-test (see bounds.admissible_kernels).  Sweeps never list the range: each
-candidate is checked against it from its own factorisation.  A full sweep
-builds no candidate past the range's last modulus, sweep_cap(N), which
-comes from a branch and bound over prime powers; a pruned one none past
-N prod p / (p - 1) over the primes p <= k + 1, since a (k+1)-smooth n has
-n / phi(n) at most that.
+test (see bounds.admissible_kernels), and cut at a cap.  The range's last
+modulus, sweep_cap(N), comes from a branch and bound over prime powers, but
+no sweep lists the range: one depth-first walk over prime powers builds
+only the moduli that two conditions on F allow.
 
-Within the range, only moduli generated from F's own exponents are tested.
-If the n-th cyclotomic polynomial divides F, the k + 1 roots zeta_n^t,
-t in {0, e_1, ..., e_k}, sum to zero, and the sum splits into minimal
-vanishing sub-sums.  The one holding the constant term has s <= k + 1
-terms, so by Mann (Mathematika 12, 1965) its terms are m-th roots of unity
-for a squarefree m, and by Conway-Jones (Acta Arith. 30, 1976)
+The first-peel filter holds at every prime power of n, not only the
+largest.  For p^v || n, n = p^v n'', the p^v-th cyclotomic polynomial stays
+irreducible over Q(zeta_{n''}), so the column criterion holds for that split
+too: if the filter rejects q = p^v, the n-th cyclotomic polynomial does not
+divide F.  The filter is monotone in v: a one-term column {l} in a class
+short of a column at p^v is alone again at p^{v+1}, in a class of one
+column.  So the powers of p that pass form a prefix p, p^2, ..., p^{a_p},
+checked once per sweep.  Above k + 1 no class holds p columns, so there p
+passes only if it divides some e_j.
+
+The partners.  If the n-th cyclotomic polynomial divides F, the k + 1 roots
+zeta_n^t, t in {0, e_1, ..., e_k}, sum to zero, and the sum splits into
+minimal vanishing sub-sums.  The one holding the constant term has
+s <= k + 1 terms, so by Mann (Mathematika 12, 1965) its terms are m-th roots
+of unity for a squarefree m, and by Conway-Jones (Acta Arith. 30, 1976)
 2 + sum_{p | m} (p - 2) <= s: m is admissible for k.  Each other term
 zeta_n^{e_j} of that sub-sum (a partner of the constant term) has order
 n / gcd(n, e_j) dividing m, so admissible too, since admissibility passes
 to divisors; and some partner's order is above 1, or the sub-sum would add
-up to s.  So n = g * m' with g = gcd(n, e_j) and m' > 1 admissible and
-prime to e_j / g.  The sweep builds these products, keeps those with
-phi(g * m') <= N (and, for the pruned range, an admissible kernel) and
-tests them in ascending order, so factor lists and early exits are those
-of the whole range.
+up to s.  When n grows to a multiple, n / gcd(n, e_j) grows to a multiple,
+so a modulus that no e_j allows has no multiple that one does.
+
+The walk extends n by the passing powers of each prime in ascending order.
+It stops on phi(n) > N, on n > cap and, for the pruned range, on the cost
+sum_{p | n} (p - 2) > k - 1, and keeps a node while some e_j leaves
+n / gcd(n, e_j) admissible.  The nodes where that order is also above 1 are
+tested in ascending order on the classes the filter kept for
+q = peel(n)[1], so factor lists and early exits are those of the whole
+range.
 
 The guard refuses a sweep before it lists anything.  A full sweep is
 refused on its range, about 1.9436 N moduli (an exact integer, so any N
-has one), or on its cap, before any exponent is factored, since g may hold
-any prime of e_j and factoring a whole exponent costs sqrt(e_j).  A pruned
-modulus is (k+1)-smooth, so a pruned sweep factors only the (k+1)-smooth
-part of each exponent, in O(k) steps, and is refused only when the
-products it would build, the admissible kernels times the smooth divisors
-over all exponents, pass the guard as well as the range and the cap.
+has one), or on its cap, before any exponent is factored; it then factors
+each exponent only up to the cap, since a prime above the cap divides no
+modulus.  A pruned modulus is (k+1)-smooth, so a pruned sweep factors only
+the (k+1)-smooth part of each exponent, in O(k) steps, and is refused when
+the products g * m, the admissible kernels m times the smooth divisors g
+over all exponents, pass the guard as well as the range and the cap (above
+k = 120 it counts no kernels).  Each node of the walk is such a product,
+with g = gcd(n, e_j) and m = n / g, and lies in the range, so no walk builds
+more nodes than its guard lets through.
 """
 
 from collections import Counter
-from collections.abc import Sequence
 from functools import lru_cache
-from math import gcd, inf, prod
+from math import inf, prod
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, refuse_above
-from .numtheory import factorize, peel, primes_up_to, smooth_divisors, totient
+from .numtheory import factorize, peel, primes_up_to
 from .sparsepoly import SparsePoly
 
 
@@ -232,9 +246,9 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
 
 # --- candidate sweep -----------------------------------------------------------
 
-# above this k the generated products cost more than testing the whole range;
-# k = 120 admits 15,850 kernels, k = 121 admits 16,442
-_GENERATE_MAX_K = 120
+# above this k a pruned sweep's guard counts no kernels, only the range and
+# the cap; k = 120 admits 15,850 kernels, k = 121 admits 16,442
+_COUNTED_MAX_K = 120
 
 
 def _guard(N: int, cap: int | None, products: int | float = inf) -> None:
@@ -252,8 +266,8 @@ def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]
 
     k=None lists them all (full sweep); otherwise only the n whose squarefree
     kernel is admissible for k terms (fs-pruned).  The list comes from a
-    depth-first walk over prime powers.  Sweeps use it only for polynomials
-    of more than _GENERATE_MAX_K terms, so the cache holds few ranges.
+    depth-first walk over prime powers.  No sweep lists its range: this is
+    the tests' reference for it.
     """
     _guard(N, cap)
     top = inf if cap is None else cap
@@ -332,89 +346,111 @@ def sweep_cap(N: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _smooth_ratio(k: int) -> tuple[int, int]:
-    """(prod p, prod (p - 1)) over the primes p <= k + 1.
-
-    A (k+1)-smooth n has n / phi(n) = prod_{p | n} p / (p - 1) at most their
-    ratio, so phi(n) <= N puts it at most N times that ratio.
-    """
-    primes = primes_up_to(k + 1)
-    return prod(primes), prod(p - 1 for p in primes)
-
-
-@lru_cache(maxsize=64)
-def _partner_kernels(k: int) -> dict[int, int] | None:
-    """Admissible kernels for k terms as {m: phi(m)} ascending, or None above _GENERATE_MAX_K."""
-    if k > _GENERATE_MAX_K:
+def _partner_kernels(k: int) -> tuple[int, ...] | None:
+    """The admissible kernels for k terms, which a pruned sweep's guard
+    counts, or None above _COUNTED_MAX_K."""
+    if k > _COUNTED_MAX_K:
         return None
-    return {m: totient(m) for m in admissible_kernels(k)}
+    return admissible_kernels(k)
 
 
-def _partner_moduli(poly: SparsePoly, k: int | None, cap: int | None) -> Sequence[int]:
-    """The moduli of the sweep range that a partner of the constant term allows.
+def _partner_moduli(
+    poly: SparsePoly, k: int | None, cap: int | None
+) -> tuple[list[int], dict[int, dict[int, list[list[int]]]]]:
+    """The moduli a sweep tests, ascending, and the first-peel classes of
+    every prime power p^v they may hold, by q = p^v.
 
-    Exactly the n of the range with n / gcd(n, e_j) admissible and above 1
-    for some exponent e_j (see the module docstring), ascending.  Each is
-    g * m with g = gcd(n, e_j), so m is prime to e_j / g; g divides n, so it
-    uses only the primes of the range.  With d = gcd(g, m), m / d is an
-    admissible kernel prime to g, so phi(g * m) = phi(g) * d * phi(m / d)
-    and rad(g * m) = rad(g) * (m / d): the range test needs no range.
+    Exactly the n of the range that pass the first-peel filter at each
+    p^v || n and have n / gcd(n, e_j) admissible and above 1 for some
+    exponent e_j (see the module docstring).  One depth-first walk extends n
+    by the passing powers of each prime in ascending order; a node lives
+    while some e_j leaves n / gcd(n, e_j) admissible, which only fails more
+    as n grows.
     """
     N = poly.N
     if k is None:
-        _guard(N, cap)  # before factoring, which costs sqrt(e) per whole exponent
+        _guard(N, cap)  # before factoring, which costs up to sqrt(e) per exponent
     if not poly.exponents:
-        return ()  # F = 1 has no cyclotomic factor
-    kernels = _partner_kernels(poly.k)
-    if kernels is None:
-        return _candidate_moduli(N, k, cap)
-    # g divides a modulus, whose primes a pruned sweep keeps to k + 1 at most
-    factors = [factorize(e, None if k is None else k + 1) for e in poly.exponents]
-    if k is not None:
-        _guard(N, cap, len(kernels) * sum(prod(a + 1 for _, a in f) for f in factors))
-    # every modulus of the range has phi(n) <= N, and a pruned one is (k+1)-smooth
+        return [], {}  # F = 1 has no cyclotomic factor
+    kernels = None if k is None else _partner_kernels(k)
+    if k is not None and kernels is None:
+        _guard(N, cap)  # too many kernels to count: the range and the cap bound the walk
+    # a pruned modulus is (k+1)-smooth, and no prime above the cap divides a modulus
+    factors = [dict(factorize(e, cap if k is None else k + 1)) for e in poly.exponents]
+    if kernels is not None:
+        _guard(N, cap, len(kernels) * sum(prod(a + 1 for a in f.values()) for f in factors))
+    budget = poly.k - 1  # the Conway-Jones cost of an admissible kernel
+    range_budget = inf if k is None else budget
+    top = inf if cap is None else cap
+    # above k + 1 a class holds fewer than p columns, so p survives only if it
+    # divides an exponent; and it may lie in n only to the power v_p(e_j)
+    primes = primes_up_to(poly.k + 1)
     if k is None:
-        top = _largest_modulus(N)
-    else:
-        num, den = _smooth_ratio(k)
-        top = N * num // den
-    if cap is not None:
-        top = min(top, cap)
-    seen, moduli = set(), []
-    for e, f in zip(poly.exponents, factors):
-        for g, phi_g, rad_g in smooth_divisors(f):
-            rest = e // g
-            for m in kernels:
-                n = g * m
-                if n > top:
+        primes = sorted(set(primes).union(*factors))
+    keys = (0,) + poly.exponents
+    classes_by_q: dict[int, dict[int, list[list[int]]]] = {}
+    powers = []  # (p, its passing powers p, p^2, ...)
+    for p in primes:
+        if p > top or p - 1 > N:
+            break
+        q, qs = p, []
+        most = max(f.get(p, 0) for f in factors) + (p - 2 <= budget)  # the partners' bound
+        while len(qs) < most and q <= top and q - q // p <= N:
+            classes = _column_classes(keys, p, q)
+            if classes is None:
+                break  # a one-term column stays alone in its class at every higher power
+            classes_by_q[q] = classes
+            qs.append(q)
+            q *= p
+        if qs:
+            powers.append((p, qs))
+    # exponents with the same powers of the passing primes are one partner to the walk
+    rows = {tuple(f.get(p, 0) for p, _ in powers) for f in factors}
+    found = []
+
+    def walk(start: int, n: int, phi: int, cost: int, alive: list) -> None:
+        for i in range(start, len(powers)):
+            p, qs = powers[i]
+            if phi * (p - 1) > N or n * p > top or cost + p - 2 > range_budget:
+                break  # all three only fail more as p grows
+            live = alive
+            for b, q in enumerate(qs, 1):
+                m, f = n * q, phi * (q - q // p)
+                if f > N or m > top:
                     break
-                if rest % m and n not in seen:
-                    seen.add(n)
-                    d = gcd(rad_g, m)
-                    if phi_g * d * kernels[m // d] <= N and (k is None or rad_g * (m // d) in kernels):
-                        moduli.append(n)
-    moduli.sort()
-    return moduli
+                # (row of e_j, the cost of n / gcd(n, e_j), whether it is above 1)
+                nxt = []
+                for row, c, above in live:
+                    if b <= row[i]:
+                        nxt.append((row, c, above))
+                    elif b == row[i] + 1 and c + p - 2 <= budget:
+                        nxt.append((row, c + p - 2, True))
+                if not nxt:
+                    break  # the partners only fall as b grows
+                live = nxt
+                if any(above for _, _, above in live):
+                    found.append(m)
+                walk(i + 1, m, f, cost + p - 2, live)
+
+    walk(0, 1, 1, 0, [(row, 0, False) for row in rows])
+    found.sort()
+    return found, classes_by_q
 
 
 def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
     """The candidate moduli whose cyclotomic polynomial divides F, lazily.
 
-    Each distinct q = peel(n)[1] is grouped (or rejected) once per sweep.
+    The classes of each q = peel(n)[1] come from the walk's filter.
     """
     if mode not in ("full-sweep", "fs-pruned"):
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     if cap is not None and cap < 1:
         raise InvalidParametersError(f"cap must be >= 1, got {cap}")
-    k = poly.k if mode == "fs-pruned" else None
+    moduli, classes_by_q = _partner_moduli(poly, poly.k if mode == "fs-pruned" else None, cap)
     vec = dict.fromkeys((0,) + poly.exponents, 1)
-    classes_by_q: dict[int, dict[int, list[list[int]]] | None] = {}
-    for n in _partner_moduli(poly, k, cap):
+    for n in moduli:
         p, q, nprime = peel(n)
-        if q not in classes_by_q:
-            classes_by_q[q] = _column_classes(vec, p, q)
-        classes = classes_by_q[q]
-        if classes is not None and _classes_vanish(vec, p, nprime, classes):
+        if _classes_vanish(vec, p, nprime, classes_by_q[q]):
             yield n
 
 

@@ -2,7 +2,8 @@
 
 Everything here is exact integer arithmetic.  Trial division in `factorize`
 can stop at a bound, so a pruned sweep factors only the (k+1)-smooth part of
-an exponent, in O(k) steps whatever the exponent's size.
+an exponent, in O(k) steps whatever the exponent's size, and a capped sweep
+only the part below its cap.
 """
 
 from functools import lru_cache
@@ -46,15 +47,6 @@ def factorize(n: int, bound: int | None = None) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def smooth_divisors(factors: tuple[tuple[int, int], ...]) -> list[tuple[int, int, int]]:
-    """(d, phi(d), rad(d)) for the divisors d of a factorization ((p, e), ...)."""
-    divs = [(1, 1, 1)]
-    for p, e in factors:
-        powers = [(1, 1, 1)] + [(p**i, p ** (i - 1) * (p - 1), p) for i in range(1, e + 1)]
-        divs = [(d * q, f * g, r * s) for d, f, r in divs for q, g, s in powers]
-    return divs
-
-
 def totient(n: int) -> int:
     r = n
     for p, _ in factorize(n):
@@ -87,8 +79,8 @@ def omega(n: int) -> int:
     return len(factorize(n))
 
 
-# A sweep's working set is a few thousand moduli and their cofactors: 1,910
-# for a 20-polynomial detect file, 882 for one full sweep at N = 3 * 10^4.
+# A sweep's working set is a few dozen moduli and their cofactors: 48 for a
+# 20-polynomial detect file, 35 for one full sweep at N = 3 * 10^4, k = 13.
 @lru_cache(maxsize=8192)
 def peel(n: int) -> tuple[int, int, int]:
     """(p, q, n') for n >= 2: p the largest prime of n, q its full power, n = q n'.

@@ -303,10 +303,19 @@ def test_pruned_factors_of_a_large_prime_exponent_are_fast(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_capped_full_sweep_of_a_large_prime_exponent_is_fast(capsys):
+    # a prime above the cap divides no modulus, so trial division stops at the
+    # cap instead of at the square root, 10^8
+    start = time.perf_counter()
+    code, out, _ = run_cli(["factors", "--cap-override", "100", "210", "10000000000000061"], capsys)
+    assert code == 0 and json.loads(out)["factors"] == []
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("N", [10**200, 10**309], ids=["1e200", "1e309"])
 def test_pruned_factors_at_a_large_degree_are_fast(N, capsys):
-    # the products stop at N prod p / (p - 1), with no walk for the largest modulus,
-    # also past float range, where the full sweep is refused
+    # the walk stops on phi(n) > N, with no walk for the largest modulus, also
+    # past float range, where the full sweep is refused
     start = time.perf_counter()
     code, out, _ = run_cli(["factors", "--mode", "fs-pruned", "6", str(N)], capsys)
     assert code == 0 and json.loads(out)["factors"] == []

@@ -31,11 +31,10 @@ from lacunary.cyclotomic import (
     _partner_kernels,
     _partner_moduli,
     _poly_divexact,
-    _smooth_ratio,
 )
 import lacunary.cyclotomic as cyclotomic_module
 from lacunary.numtheory import (
-    factorize, peel, primes_up_to, smooth_divisors, squarefree_kernel, totient, totient_sieve,
+    factorize, peel, primes_up_to, squarefree_kernel, totient,
 )
 from lacunary.sparsepoly import _Stream
 
@@ -283,21 +282,6 @@ def test_largest_modulus_sieves_further_when_it_must(monkeypatch):
     assert _largest_modulus.__wrapped__(10**9) == 6023507490
 
 
-def test_pruned_top_bounds_every_smooth_modulus():
-    # n / phi(n) only grows as N does, so checking n at N = phi(n) covers every
-    # N <= 3000; sweep_cap(3000) is the last n with phi(n) <= 3000
-    top = sweep_cap(3000)
-    phi = totient_sieve(top)
-    largest = [0] * (top + 1)
-    for p in primes_up_to(top):
-        largest[p::p] = [p] * len(range(p, top + 1, p))
-    for k in range(1, 14):
-        num, den = _smooth_ratio(k)
-        for n in range(2, top + 1):
-            if phi[n] <= 3000 and largest[n] <= k + 1:
-                assert n <= phi[n] * num // den, (k, n)
-
-
 def test_sweep_cap_against_brute_force():
     # trial-division totients over a range far past the answer
     from oracles import brute_sweep_max
@@ -484,16 +468,6 @@ def _assert_generated_is_exact(F, caps):
             )
 
 
-def test_smooth_divisors():
-    assert smooth_divisors(factorize(1, 1)) == [(1, 1, 1)]
-    divs = sorted(smooth_divisors(factorize(360, 400)))
-    assert [d for d, _, _ in divs] == [d for d in range(1, 361) if 360 % d == 0]
-    assert all(f == phi_brute(d) and r == squarefree_kernel(d) for d, f, r in divs)
-    divs = sorted(smooth_divisors(factorize(2 * 9 * 7 * 11, 7)))
-    assert [d for d, _, _ in divs] == [1, 2, 3, 6, 7, 9, 14, 18, 21, 42, 63, 126]
-    assert all(f == phi_brute(d) and r == squarefree_kernel(d) for d, f, r in divs)
-
-
 def test_bounded_factorization_is_the_smooth_part():
     for n in list(range(1, 400)) + [2**40 * 3**3 * 99991, 13**4 * 17 * 101**2, 210 * 999983]:
         full = factorize(n)
@@ -549,27 +523,56 @@ def test_dense_factors_are_among_the_generated_candidates():
         k = stream.randbelow(7) + 1
         F = sample_random(k, 40, 61, i)
         dense = [n for n in range(2, sweep_cap(F.N) + 1) if divides_phi_dense(F, n)]
-        assert set(dense) <= set(_partner_moduli(F, None, None)), F.exponents
+        assert set(dense) <= set(_partner_moduli(F, None, None)[0]), F.exponents
         assert dense == find_cyclotomic_factors(F)
 
 
-def test_generated_candidates_are_the_partner_moduli():
-    # exactly the n of the range with n / gcd(n, e_j) admissible and above 1
-    # for some exponent e_j; a small share of the range
-    F = sample_random(13, 10**4, 1, 0)
-    kernels = set(admissible_kernels(F.k)) - {1}
+def _filtered_partners(F, k, cap):
+    """The spec of the walk: the n of the range that pass the first-peel filter
+    at every p^v || n and have n / gcd(n, e_j) admissible for k terms and above
+    1 for some exponent e_j."""
+    keys = (0,) + F.exponents
+
+    def admissible(m):
+        f = factorize(m)
+        return m > 1 and all(a == 1 for _, a in f) and 2 + sum(p - 2 for p, _ in f) <= F.k + 1
+
+    return [
+        n for n in _candidate_moduli(F.N, k, cap)
+        if all(_column_classes(keys, p, p**v) is not None for p, v in factorize(n))
+        and any(admissible(n // gcd(n, e)) for e in F.exponents)
+    ]
+
+
+def test_walk_is_the_filtered_partner_range():
+    # a small share of the range, and the classes of every modulus's peel
+    # power are the filter's
+    polys = [sample_random(13, 10**4, 1, 0), sample_random(5, 3000, 1, 1)]
+    polys += [_product(*factors) for factors in SHARED_Q]
+    polys.append(SparsePoly(tuple(range(1, 131)), 400))  # 130 terms: no kernel count
+    for F in polys:
+        keys = (0,) + F.exponents
+        for k in (None, F.k):
+            for cap in (None, F.N // 3):
+                moduli, classes = _partner_moduli(F, k, cap)
+                assert moduli == _filtered_partners(F, k, cap), (F.exponents, k, cap)
+                for n in moduli:
+                    p, q, _ = peel(n)
+                    assert classes[q] == _column_classes(keys, p, q)
+    F = polys[0]
     for k in (None, F.k):
-        moduli = _candidate_moduli(F.N, k, None)
-        partners = [n for n in moduli if any(n // gcd(n, e) in kernels for e in F.exponents)]
-        assert list(_partner_moduli(F, k, None)) == partners
-        assert len(partners) * 3 < len(moduli)
+        assert len(_partner_moduli(F, k, None)[0]) * 20 < len(_candidate_moduli(F.N, k, None))
 
 
-def test_many_kernels_fall_back_to_the_walk():
-    # k = 130 admits more kernels than pay for themselves; the range is tested whole
-    F = sample_random(130, 400, 67, 0)
-    assert _partner_moduli(F, None, None) is _candidate_moduli(F.N, None, None)
-    _assert_generated_is_exact(F, (None,))
+def test_walk_matches_the_range_above_k_120():
+    # the guard counts no kernels above k = 120, and the walk serves these k
+    # too; Phi_3(x^300) (1 + x + ... + x^{k/3}) has 122, 152 and 302 terms
+    stream = _Stream(67, 0)
+    for k in (121, 150, 300):
+        N = k + stream.randbelow(1001 - k)
+        for F in (sample_random(k, N, 67, k), _product(_gon(3, 300), tuple(range(k // 3 + 1)))):
+            assert F.k >= k and F.N <= 1000
+            _assert_generated_is_exact(F, (None, N // 3))
 
 
 def test_generated_sweeps_build_no_range():
@@ -617,7 +620,7 @@ def test_pruned_guard_prediction_bounds_the_walk():
         for N in (60, 3000, 10**9, 10**15):
             F = sample_random(k, N, 83, N % 97)
             products = len(kernels) * sum(_smooth_part(x, k + 1)[1] for x in F.exponents)
-            moduli = _partner_moduli(F, k, None)
+            moduli = _partner_moduli(F, k, None)[0]
             assert len(moduli) <= products, (k, N)
             if N <= 3000:
                 parts = [_smooth_part(x, k + 1)[0] for x in F.exponents]
@@ -627,7 +630,7 @@ def test_pruned_guard_prediction_bounds_the_walk():
     F = SparsePoly((10**8,), 10**8)
     with pytest.raises(ResourceLimitError, match="1.95e"):
         _partner_moduli(F, None, None)
-    assert 512 in _partner_moduli(F, 1, None)
+    assert 512 in _partner_moduli(F, 1, None)[0]
 
 
 def _divisors_of_smooth_part(x, bound):
@@ -706,15 +709,15 @@ def test_sweep_matches_the_per_candidate_walk_on_shared_peels():
             assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode, None), (factors, mode)
             assert has_cyclotomic_factor(F, mode)
     # in one sweep the grouping of q = 3 and of q = 5 is reused by passing
-    # moduli, and some rejected q is looked up again by later candidates
+    # moduli, and no candidate is one that the filter rejects at its peel power
     F = _product(*SHARED_Q[0])
     found = find_cyclotomic_factors(F)
     assert {3, 6, 12, 5, 10, 15, 30} <= set(found)
     vec = dict.fromkeys((0,) + F.exponents, 1)
-    rejected = Counter(
-        peel(n)[1] for n in _partner_moduli(F, None, None) if _column_classes(vec, *peel(n)[:2]) is None
-    )
-    assert max(rejected.values()) >= 2
+    moduli, classes = _partner_moduli(F, None, None)
+    assert all(_column_classes(vec, *peel(n)[:2]) is not None for n in moduli)
+    shared = Counter(peel(n)[1] for n in moduli)
+    assert shared[3] >= 2 and shared[5] >= 2 and set(shared) <= set(classes)
 
 
 def test_sweep_matches_the_per_candidate_walk_on_seeded_polynomials():

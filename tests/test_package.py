@@ -93,6 +93,7 @@ TEST_ONLY = {
     "omega": "a test oracle",
     "atom_probability": "the exact count law, the oracle of a single-modulus event",
     "format_poly": "the text-format writer of the parse round trip",
+    "_candidate_moduli": "the whole sweep range, the reference the generated candidates are checked against",
 }
 
 
