@@ -25,36 +25,35 @@ that touches only the pairs that share one; all pairwise inner products are
 non-negative and the far corner of the fundamental mesh realizes the
 longest vector in the mesh.
 
-The Gram determinant is a positive integer, computed exactly from the same
-recursion.  For n = p^e the supports are disjoint p-sets, so G = p I.
-Otherwise the q shifted copies of the basis for n' = n/q lie in distinct
-residue classes mod q, and l -> n' i + q l is injective mod n, so the
-leading block of G is I_q (x) G' with G' the Gram for n'.  With
-step = q/p, product t step + s meets copy i only when i = s mod step, and
-there at the n'-coordinate t, so its inner products with copy i are b_t,
-column t of the basis for n'; the products are disjoint p-sets, so their
-Gram is p I.  All three structures are checked before they are used.  With
-delta = det G', rp = n' - phi(n') its size, B the rp x phi(n') matrix of
-the columns b_t and C_i the products' inner products with copy i, the
-Schur complement of the leading block is S = p I - sum_i C_i^T G'^-1 C_i.
-Each product meets p copies, so S = p (I - B^T G'^-1 B) (x) I_step and
-det G = delta^q p^m det(I - B^T G'^-1 B)^step, with m = step phi(n').
-Sylvester's identity gives det(I - B^T G'^-1 B) = det(G' - B B^T) / delta,
-and G' - B B^T is the tail Gram: the Gram of the basis for n' on its
-coordinates phi(n')..n'-1.  With D its determinant (cached per n', taken by
-fraction-free Bareiss elimination, which needs no pivot search on a
-positive definite matrix), det G = delta^(q - step) p^m D^step, and
-q - step = phi(q).
+The Gram determinant is prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)|
+(Washington, Introduction to Cyclotomic Fields, Prop. 2.7), the squared
+covolume of the lattice L(n) of vanishing sums, because the basis spans L(n):
 
-D = det(tail block)^2 for the square rp x rp tail block, and D = 1 exactly
-when the basis for n' spans its lattice.  A relation for n', read as a
-polynomial of degree < n', is a multiple Phi Q of the n'-th cyclotomic
-polynomial with deg Q < rp.  Phi is monic, so the coordinates
-phi(n')..n'-1 of Phi Q are those of Q under a unit triangular map, and
-restricting to them maps the lattice onto Z^rp.  The result equals
-prod_{p | n} p^(phi(n)/(p-1)) = n^phi(n) / |disc Q(zeta_n)| for every
-n <= 300 (tested); a sublattice of index j would have j^2 times that
-determinant, so for those n the basis spans the whole lattice.
+(i) Spanning, by induction on the peel.  Coordinate x = n' i + q l mod n has
+zeta_n^x = zeta_q^i zeta_{n'}^l; call the n' coordinates with one i column i
+(the residue class of n' i mod q), and class s < step = q/p the p columns
+s + j step.  Copy i lies in column i; product (t, s) meets class s.
+Take c in L(n).  By the column criterion of cyclotomic._vanishes (the q-th
+cyclotomic polynomial stays irreducible over Q(zeta_{n'})), the p columns of
+each class s are, as elements of Z[zeta_{n'}], one and the same Y_s.  Write
+Y_s = sum_{t < phi(n')} y_{s,t} zeta_{n'}^t in the power basis, a Z-basis.
+Product (t, s) is the unit vector e_t in each column of class s, so
+c - sum y_{s,t} product(t, s) has every column in L(n'), and the copies of
+the basis for n' span those columns.  The base case is n' = 1: L(1) = 0.
+
+(ii) The covolume.  The coordinates 0..phi-1 map Z^phi onto Z[zeta_n]
+bijectively, so L(n) = {(-A t, t) : t in Z^(n - phi)}, with column k of A
+the power-basis coordinates of zeta^(phi + k), and its Gram is I + A^T A.
+Sylvester's determinant identity gives det(I + A^T A) = det(M M^T), with
+M = [I | A] the coordinates of zeta^0..zeta^(n-1).  For the embedding matrix
+V (rows sigma_i on the power basis), (V M)(V M)^* = n I, since
+sum_{l < n} (sigma_i(zeta) / sigma_j(zeta))^l = n delta_ij.  So
+det(M M^T) = n^phi / |det V|^2 = n^phi / |disc|.
+
+A basis of a sublattice of index j would have j^2 times that determinant.
+The tests check the closed form independently: by Bareiss on the whole Gram,
+and by the Gram on the coordinates phi..n-1, whose determinant is 1 exactly
+when the basis spans, since (ii) projects L(n) onto Z^(n - phi) bijectively.
 
 Ball counting is exact in integers.  Scaled by c, the common denominator of
 the center, every c^2 |anchor + B^T t - center|^2 is an integer, and a point
@@ -82,11 +81,11 @@ Fincke-Pohst nodes from the LDL of the whole basis, taken at the moved anchor.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, floor, inf, isfinite, lcm, log, sqrt
+from math import ceil, exp, floor, inf, isfinite, lcm, log, prod, sqrt
 
 from .bounds import ball_volume_log
 from .errors import InvalidParametersError, refuse_above
-from .numtheory import peel, totient
+from .numtheory import factorize, peel, totient
 
 _SLACK = 1e-9
 
@@ -124,77 +123,6 @@ class BallQuery:
             raise InvalidParametersError("center must have length n")
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant of a positive semidefinite integer matrix.
-
-    Fraction-free elimination without row swaps: the pivot at step k is the
-    leading (k+1)-minor.
-    """
-    m = [row[:] for row in mat]
-    r = len(m)
-    prev = 1
-    for k in range(r - 1):
-        pivot = m[k][k]
-        if pivot == 0:
-            return 0  # PSD: A_k x = 0, x padded to y, gives y.Ay = 0, so Ay = 0 and det = 0
-        for i in range(k + 1, r):
-            row_i = m[i]
-            row_k = m[k]
-            cik = row_i[k]
-            for j in range(k + 1, r):
-                row_i[j] = (row_i[j] * pivot - cik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return m[r - 1][r - 1]
-
-
-@lru_cache(maxsize=64)
-def _copy_block(n: int):
-    """(Gram, its determinant delta, the basis columns at t < phi(n), D) for the basis for n.
-
-    A product of the basis for q n meets a copy of this basis in one column t
-    (module docstring).  D is the determinant of the tail Gram, the Gram of
-    the basis on its coordinates phi(n)..n-1: Gram - sum_t column t column t^T.
-    """
-    basis = build_basis(n)
-    cols = tuple(zip(*basis.vectors))[: totient(n)]
-    tail = [list(row) for row in basis.gram]
-    for c in cols:  # 0,1 columns: each pair of supports holding point t loses 1
-        held = [i for i, x in enumerate(c) if x]
-        for i in held:
-            for j in held:
-                tail[i][j] -= 1
-    return basis.gram, basis.gram_det, cols, _bareiss_det(tail)
-
-
-def _gram_det(n: int, gram: list[list[int]]) -> int:
-    """det gram by the block recursion of the module docstring."""
-    p, q, nprime = peel(n)
-    r = len(gram)
-    if nprime == 1:
-        if any(gram[i][j] != (p if i == j else 0) for i in range(r) for j in range(r)):
-            raise ArithmeticError(f"Gram for n={n} is not {p} I")
-        return p**r
-    sub, delta, cols, tail_det = _copy_block(nprime)
-    rp, step = len(sub), q // p
-    lead = q * rp
-    for a in range(lead):
-        i, j = divmod(a, rp)
-        row, lo = gram[a], i * rp
-        if tuple(row[lo : lo + rp]) != sub[j] or any(row[:lo]) or any(row[lo + rp : lead]):
-            raise ArithmeticError(f"leading block of the Gram for n={n} is not I_{q} x Gram({nprime})")
-    zero = (0,) * rp
-    for j, row in enumerate(gram[lead:]):
-        t, s = divmod(j, step)
-        if any(tuple(row[lo : lo + rp]) != (cols[t] if i % step == s else zero)
-               for i, lo in enumerate(range(0, lead, rp))):
-            raise ArithmeticError(f"product {j} of the Gram for n={n} does not meet the copies in column {t}")
-        if any(x != (p if c == j else 0) for c, x in enumerate(row[lead:])):
-            raise ArithmeticError(f"product block of the Gram for n={n} is not {p} I")
-    # det G = delta^(q - step) p^m D^step, by Sylvester's identity (module docstring)
-    return delta ** (q - step) * p ** (r - lead) * tail_det**step
-
-
 @lru_cache(maxsize=64)
 def build_basis(n: int) -> RelationBasis:
     """Construct the recursive basis with exact Gram data for modulus n >= 2.
@@ -203,7 +131,8 @@ def build_basis(n: int) -> RelationBasis:
     """
     if n < 2:
         raise InvalidParametersError(f"modulus must be >= 2, got {n}")
-    rank = n - totient(n)
+    phi = totient(n)
+    rank = n - phi
     refuse_above(rank * n + rank * rank, f"vector and Gram entries of the basis for n={n}")
     p, q, nprime = peel(n)
     # zeta_{n'} = zeta_n^q and zeta_q = zeta_n^{n'} fix the CRT embedding
@@ -230,9 +159,6 @@ def build_basis(n: int) -> RelationBasis:
             row = gram[i]
             for j in h:
                 row[j] += 1
-    det = _gram_det(n, gram)
-    if det <= 0:
-        raise ArithmeticError(f"degenerate basis for n={n}")
     vectors = []
     for s in supports:
         row = [0] * n
@@ -244,7 +170,7 @@ def build_basis(n: int) -> RelationBasis:
         rank=rank,
         vectors=tuple(vectors),
         gram=tuple(tuple(row) for row in gram),
-        gram_det=det,
+        gram_det=prod(p ** (phi // (p - 1)) for p, _ in factorize(n)),  # closed form: module docstring
     )
 
 

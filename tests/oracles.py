@@ -5,7 +5,8 @@ polynomials come from the Moebius product, vanishing checks from 50-digit
 numeric evaluation, totients from gcd counting, and the multinomial-model
 divisibility probabilities from per-modulus combinatorial structure derived
 by hand (single balanced atom for prime n, coordinate matching for prime
-powers, pair-difference convolution for n = 2p).  The one exception is
+powers, pair-difference convolution for n = 2p), and Gram determinants from
+fraction-free elimination of the whole matrix.  The one exception is
 fincke_pohst_count, the library's former per-point ball count, which shares
 the library's float LDL.
 """
@@ -210,6 +211,30 @@ def relation_probability_direct(k: int, n: int) -> Fraction:
 
     rec(0, k, [])
     return total
+
+
+def bareiss_det(mat: list[list[int]]) -> int:
+    """Exact determinant of a positive semidefinite integer matrix.
+
+    Fraction-free elimination without row swaps: the pivot at step k is the
+    leading (k+1)-minor.
+    """
+    m = [row[:] for row in mat]
+    r = len(m)
+    prev = 1
+    for k in range(r - 1):
+        pivot = m[k][k]
+        if pivot == 0:
+            return 0  # PSD: A_k x = 0, x padded to y, gives y.Ay = 0, so Ay = 0 and det = 0
+        for i in range(k + 1, r):
+            row_i = m[i]
+            row_k = m[k]
+            cik = row_i[k]
+            for j in range(k + 1, r):
+                row_i[j] = (row_i[j] * pivot - cik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return m[r - 1][r - 1]
 
 
 def brute_sweep_max(N: int, search_to: int) -> int:

@@ -19,9 +19,8 @@ from lacunary import (
 )
 from lacunary import lattice
 from lacunary.cyclotomic import _cyclotomic_coeffs, _poly_mod
-from lacunary.lattice import _bareiss_det, _copy_block, _gram_det
 from lacunary.numtheory import factorize, omega, totient
-from oracles import fincke_pohst_count
+from oracles import bareiss_det, fincke_pohst_count
 
 
 def dense_kills_cyclotomic(vector, n):
@@ -161,7 +160,7 @@ def test_bareiss_det_singular_psd_is_zero():
     ):
         g = gram_of(vectors)
         assert fraction_det(g) == 0
-        assert _bareiss_det(g) == 0
+        assert bareiss_det(g) == 0
 
 
 def test_bareiss_det_matches_fraction_determinant_on_random_grams():
@@ -171,15 +170,15 @@ def test_bareiss_det_matches_fraction_determinant_on_random_grams():
         dim = rng.randint(1, 8)  # dim < r gives a singular Gram
         vectors = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(r)]
         g = gram_of(vectors)
-        assert _bareiss_det(g) == fraction_det(g)
+        assert bareiss_det(g) == fraction_det(g)
 
 
 def test_gram_det_equals_bareiss_of_the_whole_gram():
-    # Bareiss on the whole rank x rank Gram is the reference for the block recursion
-    # 250 = 125 * 2 and 270 = 5 * 54 have q - step > 1 and n' > 1
+    # Bareiss on the whole rank x rank Gram is the independent check of the closed form
+    # 250 = 125 * 2 and 270 = 5 * 54 peel a prime power above p with n' > 1
     for n in list(range(2, 121)) + [210, 240, 250, 270, 288, 300]:
         b = build_basis(n)
-        assert _bareiss_det([list(row) for row in b.gram]) == b.gram_det, n
+        assert bareiss_det([list(row) for row in b.gram]) == b.gram_det, n
 
 
 def test_gram_det_closed_form_certifies_the_basis():
@@ -193,48 +192,12 @@ def test_gram_det_closed_form_certifies_the_basis():
         assert build_basis(n).gram_det == expected, n
 
 
-def fraction_inverse(mat):
-    """Inverse by Gauss-Jordan elimination over the rationals, with row swaps."""
-    r = len(mat)
-    m = [[Fraction(x) for x in row] + [int(i == j) for j in range(r)] for i, row in enumerate(mat)]
-    for k in range(r):
-        piv = next(i for i in range(k, r) if m[i][k])
-        m[k], m[piv] = m[piv], m[k]
-        m[k] = [x / m[k][k] for x in m[k]]
-        for i in range(r):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return [row[r:] for row in m]
-
-
-def test_tail_determinant_spans_and_meets_the_schur_route():
-    # D, the determinant of the Gram on coordinates phi(m)..m-1, is 1 exactly
-    # when the basis for m spans its lattice.  By Sylvester's identity
-    # delta^(phi(m) - 1) D = det(delta I - B^T delta G^-1 B), B the columns t < phi(m)
+def test_tail_gram_determinant_is_one():
+    # the Gram on coordinates phi(m)..m-1 has determinant 1 exactly when the
+    # basis for m spans its lattice: projecting the lattice onto them is onto Z^(m - phi(m))
     for m in range(2, 151):
-        assert _copy_block(m)[3] == 1, m
-    for m in (4, 6, 9, 12, 15, 30, 36):
-        gram, delta, cols, tail_det = _copy_block(m)
-        inv = fraction_inverse(gram)
-        ys = [[sum(a * x for a, x in zip(row, c)) for row in inv] for c in cols]
-        f = [[delta * sum(x * y for x, y in zip(c, ys[t2])) for t2 in range(len(cols))] for c in cols]
-        block = [[delta * (a == b) - x for b, x in enumerate(row)] for a, row in enumerate(f)]
-        assert delta ** (totient(m) - 1) * tail_det == fraction_det(block), m
-
-
-def test_gram_det_rejects_a_gram_without_the_block_structure():
-    # n = 9: G = 3 I.  n = 12 = 3 * 4: rows 0-1 and 2-3 are two copies of the rank 2
-    # basis for 4, with disjoint supports.  n = 36 = 9 * 4, step 3: product row 18
-    # (t = 0, s = 0) meets copies 0, 3 and 6 in column 0 of the basis for 4, (1, 0),
-    # and no other copy or product.  A shared point breaks any of these structures:
-    # with product 19, with copy 1, or with the second vector of copy 0.
-    for n, (i, j) in ((9, (0, 1)), (12, (0, 2)), (36, (18, 19)), (36, (18, 2)), (36, (18, 1))):
-        gram = [list(row) for row in build_basis(n).gram]
-        assert _gram_det(n, gram) == build_basis(n).gram_det
-        gram[i][j] = gram[j][i] = 1
-        with pytest.raises(ArithmeticError):
-            _gram_det(n, gram)
+        phi = totient(m)
+        assert bareiss_det(gram_of([v[phi:] for v in build_basis(m).vectors])) == 1, m
 
 
 def _supports(basis):
@@ -256,11 +219,6 @@ def test_copies_are_the_images_of_the_smaller_basis():
             for y in _supports(build_basis(nprime))
         ]
         assert _supports(build_basis(n))[: len(images)] == images, n
-
-
-def test_lattice_caches_are_bounded():
-    for cached in (build_basis, _copy_block, _cyclotomic_coeffs):
-        assert cached.cache_info().maxsize is not None, cached
 
 
 # --- mesh length -------------------------------------------------------------------
