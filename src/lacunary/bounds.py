@@ -14,7 +14,7 @@ still carry trend information.
 
 from dataclasses import dataclass
 from itertools import count
-from math import exp, inf, isfinite, lgamma, log, pi, sqrt
+from math import exp, inf, lgamma, log, pi, sqrt
 
 from .errors import InvalidParametersError, refuse_above
 from .numtheory import primes_up_to, totient, totient_sieve
@@ -170,7 +170,7 @@ def _midrange_atom(k: int, n: int, phi: int) -> float:
     return exp(log_atom) if log_atom < 700 else float("inf")
 
 
-def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
+def total_bound(k: int) -> BoundBreakdown:
     """Assembled per-range upper bound on P(F has a cyclotomic factor).
 
     Rows partition the moduli: n = 2..6 individually, the lattice-ball and
@@ -180,8 +180,6 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
     """
     if k < 8:
         raise InvalidParametersError(f"need k >= 8, got {k}")
-    if c is not None and not isfinite(c):  # a nan or infinite c bounds nothing
-        raise InvalidParametersError(f"kernel-size exponent constant must be finite, got {c}")
     lnk = log(k)
     try:
         b1 = max(6, int(k / exp(sqrt(lnk))))
@@ -216,8 +214,7 @@ def total_bound(k: int, c: float | None = None) -> BoundBreakdown:
         mid_raw = 0.0
     add("mid-range moduli", b1 + 1, b2, mid_raw, "midrange-K")
 
-    cc = default_exponent_constant(k) if c is None else c
-    log_large = 3.0 * lnk + 2.0 * cc * sqrt(k) * lnk - log(b2)
+    log_large = 3.0 * lnk + 2.0 * default_exponent_constant(k) * sqrt(k) * lnk - log(b2)
     large_raw = exp(log_large) if log_large < 700 else float("inf")
     add("residue-split tail", b2 + 1, float("inf"), large_raw, "large-n-residue")
 

@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", "per-range bound table for k terms", formats=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float, default=None, help="kernel-size exponent constant")
 
     p = command("estimate", "Monte Carlo estimate of a divisor event", formats=True, seeded=True)
     p.add_argument("--k", type=int, required=True)
@@ -67,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="specific modulus (default: any factor)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default=None,
-                   help="sweep of the any-factor event (default full-sweep); not with --n")
-    p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
+                   help="label of the any-factor event's range (default full-sweep); not with --n")
 
     p = command("decay", "any-factor estimates across a k list", formats=True, seeded=True)
     p.add_argument("--k-list", required=True, dest="k_list", help="comma-separated k values")
@@ -81,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default=None,
-                   help="sweep of the any-factor event (default full-sweep); not with --n")
+                   help="label of the any-factor event's range (default full-sweep); not with --n")
 
     return top
 
@@ -127,7 +125,7 @@ def _run_candidates(args, out) -> None:
 
 
 def _run_bounds(args, out) -> None:
-    bb = total_bound(args.k, c=args.c)
+    bb = total_bound(args.k)
     if args.format == "json":
         rows = [
             {
@@ -155,15 +153,15 @@ def _emit_reports(args, reports, out) -> None:
 
 def _run_estimate(args, out) -> None:
     if args.n is not None:
-        if args.mode is not None or args.cap_override is not None:
-            raise InvalidParametersError("--mode and --cap-override choose a sweep, not with --n")
+        if args.mode is not None:
+            raise InvalidParametersError("--mode names the any-factor event's range, not with --n")
         report = estimate_phi_n(
             args.k, args.N, args.n, args.trials, args.seed, workers=args.workers
         )
     else:
         report = estimate_any_cyclotomic(
             args.k, args.N, args.trials, args.seed,
-            mode=args.mode or "full-sweep", workers=args.workers, cap=args.cap_override,
+            mode=args.mode or "full-sweep", workers=args.workers,
         )
     _emit_reports(args, [report], out)
 

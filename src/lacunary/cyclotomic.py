@@ -56,6 +56,23 @@ to divisors; and some partner's order is above 1, or the sub-sum would add
 up to s.  When n grows to a multiple, n / gcd(n, e_j) grows to a multiple,
 so a modulus that no e_j allows has no multiple that one does.
 
+One event.  Under any cap, some cyclotomic polynomial of the full range
+divides F exactly when one of the pruned range does, so the any-factor
+event has one generator, the pruned sweep.  The pruned moduli are among
+the full ones, which gives one way.  Conversely let the n-th cyclotomic
+polynomial divide F and split the sum of zeta_n^t, t in {0, e_1, ...,
+e_k}, into minimal vanishing sub-sums P_1, ..., P_s.  By Mann and
+Conway-Jones each P_i is zeta_n^{t_i} times a sum of m_i-th roots of unity,
+with m_i squarefree (the least such), m_i | n and
+2 + sum_{p | m_i} (p - 2) <= |P_i|, so the exponents in P_i agree mod
+n / m_i.  Let M = lcm(m_i) and n' = prod_{p | M} p^{v_p(n)}, a divisor of n
+above 1.  Then zeta_{n'}^{n / m_i} has order exactly m_i, so each P_i still
+vanishes with zeta_{n'} in place of zeta_n: it is a rotation of a Galois
+conjugate of the same sum, and the n'-th cyclotomic polynomial divides F.
+Its kernel M is admissible for k, since
+2 + sum_{p | M} (p - 2) <= 2 + sum_i (|P_i| - 2) <= k + 1, and n' | n gives
+phi(n') <= phi(n) <= N and n' <= n <= cap.
+
 The walk extends n by the passing powers of each prime in ascending order.
 It stops on phi(n) > N, on n > cap and, for the pruned range, on the cost
 sum_{p | n} (p - 2) > k - 1, and keeps a node while some e_j leaves
@@ -74,12 +91,14 @@ the products g * m, the admissible kernels m times the smooth divisors g
 over all exponents, pass the guard as well as the range and the cap (above
 k = 120 it counts no kernels).  Each node of the walk is such a product,
 with g = gcd(n, e_j) and m = n / g, and lies in the range, so no walk builds
-more nodes than its guard lets through.
+more nodes than its guard lets through.  Before either sweep factors, it is
+also refused on its trial divisions, the sum over the exponents of
+min(isqrt(e_j), bound), the bound being the cap or k + 1.
 """
 
 from collections import Counter
 from functools import lru_cache
-from math import inf, prod
+from math import inf, isqrt, prod
 
 from .bounds import admissible_kernels
 from .errors import InvalidParametersError, refuse_above
@@ -368,15 +387,15 @@ def _partner_moduli(
     as n grows.
     """
     N = poly.N
-    if k is None:
-        _guard(N, cap)  # before factoring, which costs up to sqrt(e) per exponent
     if not poly.exponents:
         return [], {}  # F = 1 has no cyclotomic factor
     kernels = None if k is None else _partner_kernels(k)
-    if k is not None and kernels is None:
-        _guard(N, cap)  # too many kernels to count: the range and the cap bound the walk
+    if kernels is None:  # a full sweep, or too many kernels to count
+        _guard(N, cap)  # the range and the cap bound the walk
     # a pruned modulus is (k+1)-smooth, and no prime above the cap divides a modulus
-    factors = [dict(factorize(e, cap if k is None else k + 1)) for e in poly.exponents]
+    bound = cap if k is None else k + 1  # trial division stops there or at the root
+    refuse_above(sum(min(isqrt(e), bound or e) for e in poly.exponents), "trial divisions")
+    factors = [dict(factorize(e, bound)) for e in poly.exponents]
     if kernels is not None:
         _guard(N, cap, len(kernels) * sum(prod(a + 1 for a in f.values()) for f in factors))
     budget = poly.k - 1  # the Conway-Jones cost of an admissible kernel
@@ -462,8 +481,10 @@ def find_cyclotomic_factors(
     mode 'full-sweep' ranges over every n >= 2 with phi(n) <= N; 'fs-pruned'
     over only those whose squarefree kernel passes the term-count test for
     k terms.  A cap further limits both to n <= cap.  Both modes agree on
-    whether any factor exists at all.  Only the moduli the exponents allow
-    are tested, which finds the same factors as testing the whole range.
+    whether any factor exists at all (see "One event" in the module
+    docstring), so they differ only in the list.  Only the moduli the
+    exponents allow are tested, which finds the same factors as testing the
+    whole range.
     """
     return list(_factor_moduli(poly, mode, cap))
 

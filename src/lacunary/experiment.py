@@ -56,24 +56,29 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def _hit(poly: SparsePoly, n: int | None, mode: str | None, cap: int | None) -> bool:
-    """The measured event: Phi_n | F for a given n, else any factor in the sweep."""
+def _hit(poly: SparsePoly, n: int | None) -> bool:
+    """The measured event: Phi_n | F for a given n, else any cyclotomic factor.
+
+    Both sweep modes decide the any-factor event alike (see the cyclotomic
+    module docstring), so it is always decided by the pruned sweep, and the
+    mode is only the report's label.
+    """
     if n is not None:
         return divides_phi_structural(poly, n)
-    return has_cyclotomic_factor(poly, mode, cap)
+    return has_cyclotomic_factor(poly, "fs-pruned")
 
 
 def _range_hits(args) -> int:
-    k, N, n, mode, cap, seed, lo, hi = args
+    k, N, n, seed, lo, hi = args
     hits = 0
     for idx in range(lo, hi):
-        if _hit(sample_random(k, N, seed, idx), n, mode, cap):
+        if _hit(sample_random(k, N, seed, idx), n):
             hits += 1
     return hits
 
 
 def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
-    """Hits per event (k, N, n, mode, cap, seed) over trials 0..trials-1.
+    """Hits per event (k, N, n, seed) over trials 0..trials-1.
 
     Each event's trials split into `workers` chunks; all chunks of all events
     share one pool of at most nproc processes.
@@ -95,12 +100,14 @@ def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
 
 
 def _estimates(events: list[tuple], trials: int, seed: int, workers: int) -> list[EstimateReport]:
-    """One Monte Carlo report per event (k, N, n, mode, cap)."""
-    for k, *_ in events:  # a sampled polynomial holds k exponents
-        refuse_above(k, "exponents per sampled polynomial")
-    hits = _run_chunked([event + (seed,) for event in events], trials, workers)
+    """One Monte Carlo report per event (k, N, n, mode), mode its label."""
+    for k, _, n, mode in events:
+        if n is None and mode not in ("full-sweep", "fs-pruned"):
+            raise InvalidParametersError(f"unknown sweep mode {mode!r}")
+        refuse_above(k, "exponents per sampled polynomial")  # each holds k exponents
+    hits = _run_chunked([(k, N, n, seed) for k, N, n, _ in events], trials, workers)
     reports = []
-    for (k, N, n, mode, _), h in zip(events, hits):
+    for (k, N, n, mode), h in zip(events, hits):
         low, high = wilson_interval(h, trials)
         reports.append(EstimateReport(
             k=k, N=N, n=n, trials=trials, hits=h, estimate=h / trials,
@@ -116,7 +123,7 @@ def estimate_phi_n(
     """Monte Carlo estimate of P(the n-th cyclotomic polynomial divides F)."""
     if not 1 <= k <= N or trials < 1 or n < 1 or workers < 1:
         raise InvalidParametersError("need 1 <= k <= N, n >= 1, trials >= 1, workers >= 1")
-    return _estimates([(k, N, n, None, None)], trials, seed, workers)[0]
+    return _estimates([(k, N, n, None)], trials, seed, workers)[0]
 
 
 def estimate_any_cyclotomic(
@@ -126,12 +133,11 @@ def estimate_any_cyclotomic(
     seed: int,
     mode: str = "full-sweep",
     workers: int = 1,
-    cap: int | None = None,
 ) -> EstimateReport:
-    """Monte Carlo estimate of P(F has any cyclotomic factor) under a sweep mode."""
-    if not 1 <= k <= N or trials < 1 or workers < 1 or (cap is not None and cap < 1):
-        raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1, cap >= 1")
-    return _estimates([(k, N, None, mode, cap)], trials, seed, workers)[0]
+    """Monte Carlo estimate of P(F has any cyclotomic factor), labelled by a sweep mode."""
+    if not 1 <= k <= N or trials < 1 or workers < 1:
+        raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1")
+    return _estimates([(k, N, None, mode)], trials, seed, workers)[0]
 
 
 def exhaustive_enumeration(
@@ -140,12 +146,14 @@ def exhaustive_enumeration(
     """Exact probability by enumerating every exponent subset in lex order.
 
     n selects the single-modulus event, which takes no sweep mode;
-    n=None means 'any cyclotomic factor' under mode (default 'full-sweep').
+    n=None means 'any cyclotomic factor', labelled by mode (default 'full-sweep').
     """
     if not 1 <= k <= N:
         raise InvalidParametersError(f"need 1 <= k <= N, got k={k}, N={N}")
     if n is None:
         mode = mode or "full-sweep"
+        if mode not in ("full-sweep", "fs-pruned"):
+            raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     elif n < 1 or mode is not None:
         raise InvalidParametersError(f"need n >= 1 and no sweep mode, got n={n}, mode={mode}")
     # C(N, i) grows with i up to N / 2, so C(N, min(k, N - k)) is built one
@@ -156,7 +164,7 @@ def exhaustive_enumeration(
         refuse_above(total, f"subsets of {k} of [1, {N}] (a lower bound)")
     hits = 0
     for exps in combinations(range(1, N + 1), k):
-        if _hit(SparsePoly(exps, N), n, mode, None):
+        if _hit(SparsePoly(exps, N), n):
             hits += 1
     exact = Fraction(hits, total)
     est = float(exact)
@@ -170,7 +178,8 @@ def exhaustive_enumeration(
 def decay_series(
     k_list, N: int, trials: int, seed: int, mode: str = "fs-pruned", workers: int = 1
 ) -> list[EstimateReport]:
-    """One any-factor estimate per k, shared degree cap and trial budget.
+    """One any-factor estimate per k, shared degree cap and trial budget,
+    labelled by a sweep mode.
 
     The trials of every k run in one pool.
     """
@@ -179,7 +188,7 @@ def decay_series(
         raise InvalidParametersError(
             "need a non-empty k list with every 1 <= k <= N, trials >= 1, workers >= 1"
         )
-    return _estimates([(k, N, None, mode, None) for k in ks], trials, seed, workers)
+    return _estimates([(k, N, None, mode) for k in ks], trials, seed, workers)
 
 
 # --- serialization -----------------------------------------------------------

@@ -118,11 +118,10 @@ def test_cap_override_limits_sweep(capsys):
 @pytest.mark.parametrize("argv", [
     ["factors", "1", "2"],
     ["test", "POLYS"],
-    ["estimate", "--k", "2", "--N", "10", "--trials", "300", "--workers", "2"],
 ])
 def test_cap_below_one_is_invalid_parameters(argv, cap, tmp_path, monkeypatch, capsys):
     # a cap below 1 leaves no modulus to test, so it would read 1 + x + x^2 = Phi_3
-    # as "no factor"; the estimate is refused before any pool is opened
+    # as "no factor"
     f = tmp_path / "polys.txt"
     f.write_text("1 2\n")
     argv = [str(f) if a == "POLYS" else a for a in argv]
@@ -211,15 +210,6 @@ def test_bounds_command_json_mirrors_total_bound(capsys):
     assert rec["rows"][-1]["n_hi"] == "inf"
 
 
-@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
-def test_bounds_refuses_a_non_finite_exponent_constant(c, capsys):
-    # c sets the largest admissible kernel; a nan or infinite one makes the
-    # residue-split row, and with it the total, bound nothing
-    code, out, err = run_cli(["bounds", "--k", "64", f"--c={c}"], capsys)
-    assert code == 4 and out == ""
-    assert json.loads(err)["error"] == "InvalidParametersError"
-
-
 # --- experiment commands -------------------------------------------------------------
 
 
@@ -258,7 +248,6 @@ def test_enumerate_resource_limit_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "--k", "5", "--N", "12", "--n", "2", "--trials", "10", "--mode", "fs-pruned"],
-    ["estimate", "--k", "5", "--N", "12", "--n", "2", "--trials", "10", "--cap-override", "3"],
     ["enumerate", "--k", "5", "--N", "12", "--n", "2", "--mode", "fs-pruned"],
     ["enumerate", "--k", "20", "--N", "45", "--n", "0"],  # invalid before it is too large
 ])
@@ -310,6 +299,35 @@ def test_capped_full_sweep_of_a_large_prime_exponent_is_fast(capsys):
     code, out, _ = run_cli(["factors", "--cap-override", "100", "210", "10000000000000061"], capsys)
     assert code == 0 and json.loads(out)["factors"] == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_trial_divisions_above_the_guard_are_refused(capsys):
+    # twelve exponents near 10^16 under a cap of 10^7 would each be trial-divided
+    # up to the cap, 1.2 * 10^8 divisions in all
+    start = time.perf_counter()
+    argv = ["factors", "--cap-override", "10000000"] + [str(j * 10000000000000061) for j in range(1, 13)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+    assert "trial divisions" in json.loads(err)["message"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_any_factor_estimate_is_one_event_in_either_mode(capsys):
+    # the full range at N = 10^9 holds 1.94 * 10^9 moduli, but the event is
+    # decided by the pruned sweep whatever the mode, so only the label differs
+    argv = ["estimate", "--k", "13", "--N", "1000000000", "--trials", "200", "--seed", "3",
+            "--workers", "1", "--mode"]
+    rows = {}
+    for mode in ("full-sweep", "fs-pruned"):
+        code, out, err = run_cli(argv + [mode], capsys)
+        assert code == 0 and err == ""
+        rows[mode] = out.strip().split("\n")[1].split(",")
+    assert rows["full-sweep"][3] == "monte-carlo:full-sweep"
+    assert rows["fs-pruned"][3] == "monte-carlo:fs-pruned"
+    assert rows["full-sweep"][5] == "47"
+    del rows["full-sweep"][3], rows["fs-pruned"][3]
+    assert rows["full-sweep"] == rows["fs-pruned"]
 
 
 @pytest.mark.parametrize("N", [10**200, 10**309], ids=["1e200", "1e309"])

@@ -19,11 +19,13 @@ from lacunary import (
     estimate_any_cyclotomic,
     estimate_phi_n,
     exhaustive_enumeration,
+    find_cyclotomic_factors,
     lattice_ball_bound,
     reports_to_csv,
     sample_random,
     wilson_interval,
 )
+from lacunary import experiment
 from lacunary.experiment import report_to_json
 
 
@@ -280,6 +282,40 @@ def test_decay_validation():
         decay_series([3], 60, 0, seed=0)
     with pytest.raises(InvalidParametersError):
         decay_series([3], 60, 100, seed=0, workers=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: estimate_any_cyclotomic(3, 20, 300, seed=0, mode="pruned", workers=2),
+    lambda: decay_series([3, 4], 20, 300, seed=0, mode="full", workers=2),
+    lambda: exhaustive_enumeration(3, 10, mode="sweep"),
+])
+def test_unknown_sweep_mode_is_refused_before_any_pool(run, monkeypatch):
+    # the mode only labels the report, so no trial would ever check it
+    pools = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: pools.append(method))
+    with pytest.raises(InvalidParametersError, match="unknown sweep mode"):
+        run()
+    assert pools == []
+
+
+def test_any_factor_runs_never_take_the_full_sweep(monkeypatch):
+    # both sweeps decide the one event, so the cheaper pruned one decides it
+    # whatever the mode label says; the estimate matches the full sweep's count
+    modes = []
+    real = experiment.has_cyclotomic_factor
+
+    def spy(poly, mode="full-sweep", cap=None):
+        modes.append(mode)
+        return real(poly, mode, cap)
+
+    monkeypatch.setattr(experiment, "has_cyclotomic_factor", spy)
+    e = estimate_any_cyclotomic(5, 40, 200, seed=2, mode="full-sweep")
+    d = decay_series([3, 5], 40, 200, seed=2, mode="full-sweep")
+    x = exhaustive_enumeration(3, 9, mode="full-sweep")
+    assert set(modes) == {"fs-pruned"} and len(modes) == 200 + 400 + 84
+    polys = [sample_random(5, 40, 2, i) for i in range(200)]
+    assert e.hits == sum(bool(find_cyclotomic_factors(p, "full-sweep")) for p in polys)
+    assert (e.sweep_mode, d[0].sweep_mode, x.sweep_mode) == ("full-sweep",) * 3
 
 
 # --- serialization -----------------------------------------------------------------

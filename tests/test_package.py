@@ -145,9 +145,17 @@ DEFAULT_ONLY = {
 }
 
 
+def _wrapped(node) -> str | None:
+    """f for perfbench's timing wrapper ph.fn(name, f), else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fn" and len(node.args) == 2:
+        return getattr(node.args[1], "id", None)
+    return None
+
+
 def test_every_defaulted_parameter_is_passed():
     # a default that no library or perfbench call overrides is a knob only a
-    # test turns
+    # test turns; a call through a perfbench wrapper, has = ph.fn(name, f),
+    # counts as a call of f
     params = {}
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -159,9 +167,17 @@ def test_every_defaulted_parameter_is_passed():
     callers += [path for path in sorted(perfbench.glob("*.py")) if not path.name.startswith("test_")]
     passed = set()
     for path in callers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {
+            node.targets[0].id: _wrapped(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and _wrapped(node.value)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = getattr(node.func, "id", getattr(node.func, "attr", None))
+                func = _wrapped(node.func) or getattr(node.func, "id", getattr(node.func, "attr", None))
+                func = aliases.get(func, func)
                 passed |= {
                     (fn, name) for (fn, name), position in params.items()
                     if fn == func and _passes(node, name, position)
