@@ -248,6 +248,7 @@ def test_enumerate_resource_limit_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "--k", "5", "--N", "12", "--n", "2", "--trials", "10", "--mode", "fs-pruned"],
+    ["estimate", "--k", "5", "--N", "12", "--n", "2", "--trials", "10", "--mode", "full-sweep"],
     ["enumerate", "--k", "5", "--N", "12", "--n", "2", "--mode", "fs-pruned"],
     ["enumerate", "--k", "20", "--N", "45", "--n", "0"],  # invalid before it is too large
 ])
