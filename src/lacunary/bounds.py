@@ -3,9 +3,11 @@
 `total_bound` sums per-range bounds over the moduli, and each displayed
 inequality it uses is coded once, in the function its row calls.
 `admissible_kernels` lists the squarefree kernels that the term-count test
-allows; the sweeps in `cyclotomic` generate their moduli from them.  The
-kernel list and the mid-range sum are counted first and refused through
-the one guard, `errors.refuse_above`, above 10^7 members.  All
+allows, for the `candidates` command; the bound tables use the largest of
+them, found by a knapsack.  The sweeps in `cyclotomic` list no kernels: they
+charge each prime its term-count cost p - 2.  The kernel list and the
+mid-range sum are counted first and refused through the one guard,
+`errors.refuse_above`, above 10^7 members.  All
 logs are natural; fractional factorials go through log-Gamma.  Values
 reported in a breakdown are clipped to [0, 1] with the raw value retained,
 since the underlying inequalities are asymptotic and raw values above 1

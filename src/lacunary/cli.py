@@ -12,7 +12,7 @@ import os
 import sys
 
 from .bounds import admissible_kernels, breakdown_to_csv, total_bound
-from .cyclotomic import find_cyclotomic_factors
+from .cyclotomic import SWEEP_MODES, find_cyclotomic_factors
 from .errors import InvalidParametersError, LacunaryError, PolyParseError
 from .experiment import (
     decay_series,
@@ -43,12 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("test", "detect factors for each polynomial in a file")
     p.add_argument("file", nargs="?", default=None, help="polynomial file (default stdin)")
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
+    p.add_argument("--mode", choices=SWEEP_MODES, default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
     p = command("factors", "detect factors for one polynomial")
     p.add_argument("exponents", type=int, nargs="+")
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="full-sweep")
+    p.add_argument("--mode", choices=SWEEP_MODES, default="full-sweep")
     p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
     p = command("basis", "relation-lattice basis for a modulus")
@@ -65,20 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="specific modulus (default: any factor)")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default=None,
+    p.add_argument("--mode", choices=SWEEP_MODES, default=None,
                    help="label of the any-factor event's range (default full-sweep); not with --n")
 
     p = command("decay", "any-factor estimates across a k list", formats=True, seeded=True)
     p.add_argument("--k-list", required=True, dest="k_list", help="comma-separated k values")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default="fs-pruned")
+    p.add_argument("--mode", choices=SWEEP_MODES, default="fs-pruned")
 
     p = command("enumerate", "exhaustive enumeration of an event", formats=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--mode", choices=("full-sweep", "fs-pruned"), default=None,
+    p.add_argument("--mode", choices=SWEEP_MODES, default=None,
                    help="label of the any-factor event's range (default full-sweep); not with --n")
 
     return top

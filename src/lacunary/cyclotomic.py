@@ -81,26 +81,22 @@ tested in ascending order on the classes the filter kept for
 q = peel(n)[1], so factor lists and early exits are those of the whole
 range.
 
-The guard refuses a sweep before it lists anything.  A full sweep is
-refused on its range, about 1.9436 N moduli (an exact integer, so any N
-has one), or on its cap, before any exponent is factored; it then factors
-each exponent only up to the cap, since a prime above the cap divides no
-modulus.  A pruned modulus is (k+1)-smooth, so a pruned sweep factors only
-the (k+1)-smooth part of each exponent, in O(k) steps, and is refused when
-the products g * m, the admissible kernels m times the smooth divisors g
-over all exponents, pass the guard as well as the range and the cap (above
-k = 120 it counts no kernels).  Each node of the walk is such a product,
-with g = gcd(n, e_j) and m = n / g, and lies in the range, so no walk builds
-more nodes than its guard lets through.  Before either sweep factors, it is
-also refused on its trial divisions, the sum over the exponents of
-min(isqrt(e_j), bound), the bound being the cap or k + 1.
+The guard refuses a sweep before it walks.  Before any exponent is
+factored, it refuses on the trial divisions, the sum over the exponents of
+min(isqrt(e_j), bound): the bound is the cap for a full sweep, since a prime
+above the cap divides no modulus, and k + 1 for a pruned one, since a pruned
+modulus is (k+1)-smooth.  Once the first-peel filter has kept the passing
+powers of each prime, it refuses on the least of three counts of candidate
+moduli: the range, about 1.9436 N moduli (an exact integer, so any N has
+one), the cap, and the walk's nodes.  A node takes at most one passing
+power of each prime, so a walk has at most prod(1 + a_p) nodes over the
+primes p with a_p passing powers, in either mode.
 """
 
 from collections import Counter
 from functools import lru_cache
 from math import inf, isqrt, prod
 
-from .bounds import admissible_kernels
 from .errors import InvalidParametersError, refuse_above
 from .numtheory import factorize, peel, primes_up_to
 from .sparsepoly import SparsePoly
@@ -265,18 +261,17 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
 
 # --- candidate sweep -----------------------------------------------------------
 
-# above this k a pruned sweep's guard counts no kernels, only the range and
-# the cap; k = 120 admits 15,850 kernels, k = 121 admits 16,442
-_COUNTED_MAX_K = 120
+# the whole range, every n with phi(n) <= N; the range pruned to admissible kernels
+SWEEP_MODES = ("full-sweep", "fs-pruned")
 
 
-def _guard(N: int, cap: int | None, products: int | float = inf) -> None:
+def _guard(N: int, cap: int | None, nodes: int | float = inf) -> None:
     """Refuse a sweep before anything is listed: its range holds about
-    1.9436 N moduli, its cap bounds them, and so do the products it builds."""
+    1.9436 N moduli, and its cap and its walk's nodes bound them too."""
     # F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
     # About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify, counted
     # in integers and rounded up, so that any N has a count.
-    refuse_above(min(-(-19436 * N // 10000), inf if cap is None else cap, products), "candidate moduli")
+    refuse_above(min(-(-19436 * N // 10000), inf if cap is None else cap, nodes), "candidate moduli")
 
 
 @lru_cache(maxsize=4)
@@ -364,15 +359,6 @@ def sweep_cap(N: int) -> int:
     return _largest_modulus(N)
 
 
-@lru_cache(maxsize=64)
-def _partner_kernels(k: int) -> tuple[int, ...] | None:
-    """The admissible kernels for k terms, which a pruned sweep's guard
-    counts, or None above _COUNTED_MAX_K."""
-    if k > _COUNTED_MAX_K:
-        return None
-    return admissible_kernels(k)
-
-
 def _partner_moduli(
     poly: SparsePoly, k: int | None, cap: int | None
 ) -> tuple[list[int], dict[int, dict[int, list[list[int]]]]]:
@@ -389,15 +375,10 @@ def _partner_moduli(
     N = poly.N
     if not poly.exponents:
         return [], {}  # F = 1 has no cyclotomic factor
-    kernels = None if k is None else _partner_kernels(k)
-    if kernels is None:  # a full sweep, or too many kernels to count
-        _guard(N, cap)  # the range and the cap bound the walk
     # a pruned modulus is (k+1)-smooth, and no prime above the cap divides a modulus
     bound = cap if k is None else k + 1  # trial division stops there or at the root
     refuse_above(sum(min(isqrt(e), bound or e) for e in poly.exponents), "trial divisions")
     factors = [dict(factorize(e, bound)) for e in poly.exponents]
-    if kernels is not None:
-        _guard(N, cap, len(kernels) * sum(prod(a + 1 for a in f.values()) for f in factors))
     budget = poly.k - 1  # the Conway-Jones cost of an admissible kernel
     range_budget = inf if k is None else budget
     top = inf if cap is None else cap
@@ -423,6 +404,8 @@ def _partner_moduli(
             q *= p
         if qs:
             powers.append((p, qs))
+    # a node takes at most one passing power of each prime
+    _guard(N, cap, prod(len(qs) + 1 for _, qs in powers))
     # exponents with the same powers of the passing primes are one partner to the walk
     rows = {tuple(f.get(p, 0) for p, _ in powers) for f in factors}
     found = []
@@ -461,7 +444,7 @@ def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
 
     The classes of each q = peel(n)[1] come from the walk's filter.
     """
-    if mode not in ("full-sweep", "fs-pruned"):
+    if mode not in SWEEP_MODES:
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     if cap is not None and cap < 1:
         raise InvalidParametersError(f"cap must be >= 1, got {cap}")

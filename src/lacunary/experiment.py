@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import sqrt
 
-from .cyclotomic import divides_phi_structural, has_cyclotomic_factor
+from .cyclotomic import SWEEP_MODES, divides_phi_structural, has_cyclotomic_factor
 from .errors import InvalidParametersError, refuse_above
 from .sparsepoly import SparsePoly, sample_random
 
@@ -102,7 +102,7 @@ def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
 def _estimates(events: list[tuple], trials: int, seed: int, workers: int) -> list[EstimateReport]:
     """One Monte Carlo report per event (k, N, n, mode), mode its label."""
     for k, _, n, mode in events:
-        if n is None and mode not in ("full-sweep", "fs-pruned"):
+        if n is None and mode not in SWEEP_MODES:
             raise InvalidParametersError(f"unknown sweep mode {mode!r}")
         refuse_above(k, "exponents per sampled polynomial")  # each holds k exponents
     hits = _run_chunked([(k, N, n, seed) for k, N, n, _ in events], trials, workers)
@@ -152,7 +152,7 @@ def exhaustive_enumeration(
         raise InvalidParametersError(f"need 1 <= k <= N, got k={k}, N={N}")
     if n is None:
         mode = mode or "full-sweep"
-        if mode not in ("full-sweep", "fs-pruned"):
+        if mode not in SWEEP_MODES:
             raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     elif n < 1 or mode is not None:
         raise InvalidParametersError(f"need n >= 1 and no sweep mode, got n={n}, mode={mode}")

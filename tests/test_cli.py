@@ -170,7 +170,7 @@ def test_candidates_command(capsys):
     ["bounds", "--k", "1000000000"],  # exp(k / (24 log k)) mid-range moduli overflow a float
     ["estimate", "--k", "100000000", "--N", "100000000", "--n", "2", "--trials", "1"],
     ["bounds", "--k", str(10**309)],  # past float range; once an OverflowError traceback
-    ["factors", "6", str(10**309)],  # the same, from the range term of the sweep guard
+    ["factors", "6", str(10**309)],  # the same, from the sweep's trial-division guard
 ])
 def test_refused_before_anything_is_listed_or_sampled(argv, capsys):
     start = time.perf_counter()
@@ -259,9 +259,17 @@ def test_sweep_flags_with_one_modulus_are_invalid_parameters(argv, capsys):
 
 
 def test_factors_sweep_guard_exit_code(capsys):
-    code, out, err = run_cli(["factors", "100000000"], capsys)
+    # x^(10^8) + 1: its range of 1.94 * 10^8 moduli once refused it, but the
+    # walk's node bound is small; Phi_n divides it exactly when n = 2^9 5^a
+    code, out, _ = run_cli(["factors", "100000000"], capsys)
+    assert code == 0 and json.loads(out)["factors"] == [512 * 5**a for a in range(9)]
+    # j * 2^10 3^6 5^3, j = 1..60: the walk's node bound is 4.72 * 10^7
+    start = time.perf_counter()
+    code, out, err = run_cli(["factors"] + [str(j * 93312000) for j in range(1, 61)], capsys)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ResourceLimitError"
+    assert "4.72e+7 predicted candidate moduli" in json.loads(err)["message"]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pruned_decay_at_large_degree_is_not_refused(capsys):
@@ -342,16 +350,15 @@ def test_pruned_factors_at_a_large_degree_are_fast(N, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # 13 exponents with 21 * 13 * 9 * 7 * 5 * 5 smooth divisors each
-    ["factors", "--mode", "fs-pruned"]
-    + [str(j * 2**20 * 3**12 * 5**8 * 7**6 * 11**4 * 13**4) for j in range(1, 14)],
-    ["decay", "--k-list", "120", "--N", "1000000000", "--trials", "5", "--workers", "1"],
+    # 40 exponents whose passing prime powers give the walk 1.88 * 10^7 nodes
+    ["factors", "--mode", "fs-pruned"] + [str(j * 2**20 * 3**12 * 5**8 * 7**6) for j in range(1, 41)],
 ])
 def test_pruned_sweeps_above_the_guard_are_refused(argv, capsys):
     start = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ResourceLimitError"
+    assert "1.88e+7 predicted candidate moduli" in json.loads(err)["message"]
     assert time.perf_counter() - start < 1.0
 
 

@@ -28,7 +28,6 @@ from lacunary.cyclotomic import (
     _column_classes,
     _cyclotomic_coeffs,
     _largest_modulus,
-    _partner_kernels,
     _partner_moduli,
     _poly_divexact,
 )
@@ -327,14 +326,6 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
             assert _candidate_moduli(N, k, None) == expect, (k, N)
 
 
-def test_partner_kernels_switch_to_the_range_above_k_120():
-    assert len(_partner_kernels(120)) == 15_850
-    assert _partner_kernels(121) is None
-    t = time.perf_counter()
-    assert _partner_kernels(4 * 10**6) is None  # no kernel is counted or listed
-    assert time.perf_counter() - t < 1.0
-
-
 def test_pruned_sweep_at_large_k_agrees_with_the_full_sweep():
     # fs-pruned at k = 300 once listed every admissible kernel first and was refused
     polys = [sample_random(300, 1000, 89, i) for i in range(4)]
@@ -375,8 +366,28 @@ def test_sweep_guard_refuses_before_allocating():
         sweep_cap(10**8)
     with pytest.raises(ResourceLimitError, match="1.95e\\+309 "):
         sweep_cap(10**309)  # past float range: the range term is an exact integer
-    with pytest.raises(ResourceLimitError):
-        find_cyclotomic_factors(SparsePoly((10**8,), 10**8))
+
+
+def test_full_sweep_of_a_binomial_above_the_range():
+    # x^(10^8) + 1 = (x^(2 * 10^8) - 1) / (x^(10^8) - 1): Phi_n divides it exactly
+    # when n divides 2^9 5^8 but not 2^8 5^8, so n = 2^9 5^a; its range of
+    # 1.94 * 10^8 moduli once refused it, though the walk builds a few dozen
+    t = time.perf_counter()
+    assert find_cyclotomic_factors(SparsePoly((10**8,), 10**8)) == [512 * 5**a for a in range(9)]
+    assert time.perf_counter() - t < 1.0
+
+
+def test_full_sweep_of_a_geometric_progression_above_the_range():
+    # 1 + x^L + ... + x^{kL} = (x^{(k+1)L} - 1) / (x^L - 1): Phi_n divides it
+    # exactly when n divides (k+1)L but not L; N = 6 * 10^6 is past the
+    # 5,145,091 where the range of 1.94 N moduli once refused a full sweep
+    t = time.perf_counter()
+    L, k = 10**6, 6
+    F = SparsePoly(tuple(L * i for i in range(1, k + 1)), k * L)
+    M = (k + 1) * L
+    expect = [n for n in _divisors_of_smooth_part(M, 7) if n > 1 and L % n]  # M = 2^6 5^6 7
+    assert find_cyclotomic_factors(F) == expect
+    assert time.perf_counter() - t < 1.0
 
 
 def test_small_cap_bounds_the_walk_not_the_degree():
@@ -549,7 +560,7 @@ def test_walk_is_the_filtered_partner_range():
     # power are the filter's
     polys = [sample_random(13, 10**4, 1, 0), sample_random(5, 3000, 1, 1)]
     polys += [_product(*factors) for factors in SHARED_Q]
-    polys.append(SparsePoly(tuple(range(1, 131)), 400))  # 130 terms: no kernel count
+    polys.append(SparsePoly(tuple(range(1, 131)), 400))  # 130 terms
     for F in polys:
         keys = (0,) + F.exponents
         for k in (None, F.k):
@@ -565,8 +576,8 @@ def test_walk_is_the_filtered_partner_range():
 
 
 def test_walk_matches_the_range_above_k_120():
-    # the guard counts no kernels above k = 120, and the walk serves these k
-    # too; Phi_3(x^300) (1 + x + ... + x^{k/3}) has 122, 152 and 302 terms
+    # the walk serves large k as it does small ones; Phi_3(x^300)
+    # (1 + x + ... + x^{k/3}) has 122, 152 and 302 terms
     stream = _Stream(67, 0)
     for k in (121, 150, 300):
         N = k + stream.randbelow(1001 - k)
@@ -601,36 +612,40 @@ def test_full_sweep_near_the_guard_against_the_closed_form():
 
 
 def _smooth_part(x, bound):
-    """The largest divisor of x with no prime above bound, and its divisor count."""
-    part, count = 1, 1
+    """The largest divisor of x with no prime above bound."""
+    part = 1
     for p in primes_up_to(bound):
-        e = 0
         while x % p == 0:
-            x, e = x // p, e + 1
-        part, count = part * p**e, count * (e + 1)
-    return part, count
+            x, part = x // p, part * p
+    return part
 
 
 def test_pruned_guard_prediction_bounds_the_walk():
-    # a pruned sweep tries g * m for each (k+1)-smooth divisor g of an exponent
-    # and each admissible kernel m, and the guard counts those products before
-    # listing any divisor, so the count bounds every modulus the sweep touches
+    # a node of the walk takes at most one passing power of each prime, and
+    # the guard counts prod(1 + passing powers of p) before the walk, so the
+    # count bounds every modulus a sweep builds; a pruned modulus is also some
+    # (k+1)-smooth divisor g of an exponent times an admissible kernel m
     for k in (1, 2, 3, 5, 8, 13, 20, 40):
         kernels = admissible_kernels(k)
         for N in (60, 3000, 10**9, 10**15):
             F = sample_random(k, N, 83, N % 97)
-            products = len(kernels) * sum(_smooth_part(x, k + 1)[1] for x in F.exponents)
-            moduli = _partner_moduli(F, k, None)[0]
-            assert len(moduli) <= products, (k, N)
-            if N <= 3000:
-                parts = [_smooth_part(x, k + 1)[0] for x in F.exponents]
+            # a full sweep of exponents near 10^15 is refused on its trial divisions
+            for mode_k in (None, k) if N <= 10**9 else (k,):
+                moduli, classes = _partner_moduli(F, mode_k, None)
+                passing = Counter(factorize(q)[0][0] for q in classes)
+                assert len(moduli) <= prod(1 + a for a in passing.values()), (k, N, mode_k)
+            if N <= 3000:  # moduli are the pruned sweep's
+                parts = [_smooth_part(x, k + 1) for x in F.exponents]
                 touched = {g * m for x in parts for g in range(1, x + 1) if x % g == 0 for m in kernels}
-                assert set(moduli) <= touched and len(touched) <= products, (k, N)
-    # the range term still refuses a full sweep before it factors anything
+                assert set(moduli) <= touched, (k, N)
+    # the range no longer refuses a full sweep of x^(10^8) + 1, and the node
+    # bound refuses j * 93,312,000 for j = 1..60 before the walk
     F = SparsePoly((10**8,), 10**8)
-    with pytest.raises(ResourceLimitError, match="1.95e"):
-        _partner_moduli(F, None, None)
+    assert 512 in _partner_moduli(F, None, None)[0]
     assert 512 in _partner_moduli(F, 1, None)[0]
+    F = SparsePoly(tuple(j * 93312000 for j in range(1, 61)), 60 * 93312000)
+    with pytest.raises(ResourceLimitError, match="4.72e"):
+        _partner_moduli(F, None, None)
 
 
 def _divisors_of_smooth_part(x, bound):

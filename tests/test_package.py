@@ -207,7 +207,7 @@ def test_every_cache_is_bounded():
     # an unbounded cache keeps every modulus a sweep touches for the life of
     # the process
     caches = [hit for path in sorted(SRC.glob("*.py")) for hit in _cache_decorators(path)]
-    assert len(caches) > 5
+    assert {"cyclotomic.py:_cyclotomic_coeffs", "lattice.py:build_basis"} <= {name for name, _ in caches}
     assert [name for name, dec in caches if not _has_integer_maxsize(dec)] == []
 
 
@@ -215,7 +215,7 @@ def test_every_cache_is_bounded():
 SIBLINGS = {
     "bounds": {"errors", "numtheory"},
     "cli": {"bounds", "cyclotomic", "errors", "experiment", "lattice", "sparsepoly"},
-    "cyclotomic": {"bounds", "errors", "numtheory", "sparsepoly"},
+    "cyclotomic": {"errors", "numtheory", "sparsepoly"},
     "errors": set(),
     "experiment": {"cyclotomic", "errors", "sparsepoly"},
     "lattice": {"bounds", "errors", "numtheory"},
