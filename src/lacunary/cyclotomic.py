@@ -32,7 +32,7 @@ It can be pruned to moduli whose squarefree kernel survives the term-count
 test (see bounds.admissible_kernels), and cut at a cap.  The range's last
 modulus, sweep_cap(N), comes from a branch and bound over prime powers, but
 no sweep lists the range: one depth-first walk over prime powers builds
-only the moduli that two conditions on F allow.
+only the moduli that F's first-peel filter allows.
 
 The first-peel filter holds at every prime power of n, not only the
 largest.  For p^v || n, n = p^v n'', the p^v-th cyclotomic polynomial stays
@@ -44,26 +44,15 @@ column.  So the powers of p that pass form a prefix p, p^2, ..., p^{a_p},
 checked once per sweep.  Above k + 1 no class holds p columns, so there p
 passes only if it divides some e_j.
 
-The partners.  If the n-th cyclotomic polynomial divides F, the k + 1 roots
-zeta_n^t, t in {0, e_1, ..., e_k}, sum to zero, and the sum splits into
-minimal vanishing sub-sums.  The one holding the constant term has
-s <= k + 1 terms, so by Mann (Mathematika 12, 1965) its terms are m-th roots
-of unity for a squarefree m, and by Conway-Jones (Acta Arith. 30, 1976)
-2 + sum_{p | m} (p - 2) <= s: m is admissible for k.  Each other term
-zeta_n^{e_j} of that sub-sum (a partner of the constant term) has order
-n / gcd(n, e_j) dividing m, so admissible too, since admissibility passes
-to divisors; and some partner's order is above 1, or the sub-sum would add
-up to s.  When n grows to a multiple, n / gcd(n, e_j) grows to a multiple,
-so a modulus that no e_j allows has no multiple that one does.
-
 One event.  Under any cap, some cyclotomic polynomial of the full range
 divides F exactly when one of the pruned range does, so the any-factor
 event has one generator, the pruned sweep.  The pruned moduli are among
 the full ones, which gives one way.  Conversely let the n-th cyclotomic
 polynomial divide F and split the sum of zeta_n^t, t in {0, e_1, ...,
-e_k}, into minimal vanishing sub-sums P_1, ..., P_s.  By Mann and
-Conway-Jones each P_i is zeta_n^{t_i} times a sum of m_i-th roots of unity,
-with m_i squarefree (the least such), m_i | n and
+e_k}, into minimal vanishing sub-sums P_1, ..., P_s.  By Mann
+(Mathematika 12, 1965) and Conway-Jones (Acta Arith. 30, 1976) each P_i is
+zeta_n^{t_i} times a sum of m_i-th roots of unity, with m_i squarefree (the
+least such), m_i | n and
 2 + sum_{p | m_i} (p - 2) <= |P_i|, so the exponents in P_i agree mod
 n / m_i.  Let M = lcm(m_i) and n' = prod_{p | M} p^{v_p(n)}, a divisor of n
 above 1.  Then zeta_{n'}^{n / m_i} has order exactly m_i, so each P_i still
@@ -75,22 +64,21 @@ phi(n') <= phi(n) <= N and n' <= n <= cap.
 
 The walk extends n by the passing powers of each prime in ascending order.
 It stops on phi(n) > N, on n > cap and, for the pruned range, on the cost
-sum_{p | n} (p - 2) > k - 1, and keeps a node while some e_j leaves
-n / gcd(n, e_j) admissible.  The nodes where that order is also above 1 are
-tested in ascending order on the classes the filter kept for
-q = peel(n)[1], so factor lists and early exits are those of the whole
-range.
+sum_{p | n} (p - 2) > k - 1.  Every node is tested, in ascending order, on
+the classes the filter kept for q = peel(n)[1], so factor lists and early
+exits are those of the whole range.
 
-The guard refuses a sweep before it walks.  Before any exponent is
-factored, it refuses on the trial divisions, the sum over the exponents of
-min(isqrt(e_j), bound): the bound is the cap for a full sweep, since a prime
-above the cap divides no modulus, and k + 1 for a pruned one, since a pruned
-modulus is (k+1)-smooth.  Once the first-peel filter has kept the passing
-powers of each prime, it refuses on the least of three counts of candidate
-moduli: the range, about 1.9436 N moduli (an exact integer, so any N has
-one), the cap, and the walk's nodes.  A node takes at most one passing
-power of each prime, so a walk has at most prod(1 + a_p) nodes over the
-primes p with a_p passing powers, in either mode.
+The guard refuses a sweep before the filter runs and again before the walk.
+A full sweep must factor its exponents to find the primes above k + 1 that
+divide one, so it is first refused on the trial divisions, the sum over the
+exponents of min(isqrt(e_j), cap): a prime above the cap divides no
+modulus.  Every sweep is then refused on its first-peel key visits, k + 1
+for each prime the filter tries (p <= cap, p - 1 <= N).  Once the filter has
+kept the passing powers of each prime, it refuses on the least of three
+counts of candidate moduli: the range, about 1.9436 N moduli (an exact
+integer, so any N has one), the cap, and the walk's nodes.  A node takes at
+most one passing power of each prime, so a walk has at most prod(1 + a_p)
+nodes over the primes p with a_p passing powers, in either mode.
 """
 
 from collections import Counter
@@ -359,43 +347,38 @@ def sweep_cap(N: int) -> int:
     return _largest_modulus(N)
 
 
-def _partner_moduli(
+def _sweep_moduli(
     poly: SparsePoly, k: int | None, cap: int | None
 ) -> tuple[list[int], dict[int, dict[int, list[list[int]]]]]:
     """The moduli a sweep tests, ascending, and the first-peel classes of
     every prime power p^v they may hold, by q = p^v.
 
     Exactly the n of the range that pass the first-peel filter at each
-    p^v || n and have n / gcd(n, e_j) admissible and above 1 for some
-    exponent e_j (see the module docstring).  One depth-first walk extends n
-    by the passing powers of each prime in ascending order; a node lives
-    while some e_j leaves n / gcd(n, e_j) admissible, which only fails more
-    as n grows.
+    p^v || n (see the module docstring), built by one depth-first walk that
+    extends n by the passing powers of each prime in ascending order.
     """
     N = poly.N
     if not poly.exponents:
         return [], {}  # F = 1 has no cyclotomic factor
-    # a pruned modulus is (k+1)-smooth, and no prime above the cap divides a modulus
-    bound = cap if k is None else k + 1  # trial division stops there or at the root
-    refuse_above(sum(min(isqrt(e), bound or e) for e in poly.exponents), "trial divisions")
-    factors = [dict(factorize(e, bound)) for e in poly.exponents]
-    budget = poly.k - 1  # the Conway-Jones cost of an admissible kernel
-    range_budget = inf if k is None else budget
     top = inf if cap is None else cap
-    # above k + 1 a class holds fewer than p columns, so p survives only if it
-    # divides an exponent; and it may lie in n only to the power v_p(e_j)
+    budget = inf if k is None else k - 1  # the Conway-Jones cost sum_{p | n} (p - 2)
+    # above k + 1 a class holds fewer than p columns, so p passes only if it
+    # divides an exponent; a pruned modulus is (k+1)-smooth, and no prime above
+    # the cap divides a modulus, so a full sweep's trial division stops there
     primes = primes_up_to(poly.k + 1)
     if k is None:
-        primes = sorted(set(primes).union(*factors))
+        refuse_above(sum(min(isqrt(e), cap or e) for e in poly.exponents), "trial divisions")
+        primes = sorted(set(primes).union(p for e in poly.exponents for p, _ in factorize(e, cap)))
+    primes = [p for p in primes if p <= top and p - 1 <= N]
+    refuse_above((poly.k + 1) * len(primes), "first-peel key visits")
     keys = (0,) + poly.exponents
     classes_by_q: dict[int, dict[int, list[list[int]]]] = {}
     powers = []  # (p, its passing powers p, p^2, ...)
     for p in primes:
-        if p > top or p - 1 > N:
-            break
         q, qs = p, []
-        most = max(f.get(p, 0) for f in factors) + (p - 2 <= budget)  # the partners' bound
-        while len(qs) < most and q <= top and q - q // p <= N:
+        # the filter rejects by p^(m+2), m the most times p divides an exponent:
+        # column 0 then holds only the constant term, alone in its class
+        while q <= top and q - q // p <= N:
             classes = _column_classes(keys, p, q)
             if classes is None:
                 break  # a one-term column stays alone in its class at every higher power
@@ -406,35 +389,21 @@ def _partner_moduli(
             powers.append((p, qs))
     # a node takes at most one passing power of each prime
     _guard(N, cap, prod(len(qs) + 1 for _, qs in powers))
-    # exponents with the same powers of the passing primes are one partner to the walk
-    rows = {tuple(f.get(p, 0) for p, _ in powers) for f in factors}
     found = []
 
-    def walk(start: int, n: int, phi: int, cost: int, alive: list) -> None:
+    def walk(start: int, n: int, phi: int, cost: int) -> None:
         for i in range(start, len(powers)):
             p, qs = powers[i]
-            if phi * (p - 1) > N or n * p > top or cost + p - 2 > range_budget:
+            if phi * (p - 1) > N or n * p > top or cost + p - 2 > budget:
                 break  # all three only fail more as p grows
-            live = alive
-            for b, q in enumerate(qs, 1):
+            for q in qs:
                 m, f = n * q, phi * (q - q // p)
                 if f > N or m > top:
                     break
-                # (row of e_j, the cost of n / gcd(n, e_j), whether it is above 1)
-                nxt = []
-                for row, c, above in live:
-                    if b <= row[i]:
-                        nxt.append((row, c, above))
-                    elif b == row[i] + 1 and c + p - 2 <= budget:
-                        nxt.append((row, c + p - 2, True))
-                if not nxt:
-                    break  # the partners only fall as b grows
-                live = nxt
-                if any(above for _, _, above in live):
-                    found.append(m)
-                walk(i + 1, m, f, cost + p - 2, live)
+                found.append(m)
+                walk(i + 1, m, f, cost + p - 2)
 
-    walk(0, 1, 1, 0, [(row, 0, False) for row in rows])
+    walk(0, 1, 1, 0)
     found.sort()
     return found, classes_by_q
 
@@ -448,7 +417,7 @@ def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     if cap is not None and cap < 1:
         raise InvalidParametersError(f"cap must be >= 1, got {cap}")
-    moduli, classes_by_q = _partner_moduli(poly, poly.k if mode == "fs-pruned" else None, cap)
+    moduli, classes_by_q = _sweep_moduli(poly, poly.k if mode == "fs-pruned" else None, cap)
     vec = dict.fromkeys((0,) + poly.exponents, 1)
     for n in moduli:
         p, q, nprime = peel(n)

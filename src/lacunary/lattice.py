@@ -178,13 +178,9 @@ def mesh_max_length(basis: RelationBasis) -> float:
     """Length of the sum of all basis vectors.
 
     All pairwise inner products are non-negative, so the all-ones corner of
-    the fundamental mesh is its longest element.
+    the fundamental mesh is its longest element; |sum b_i|^2 = sum G_ij.
     """
-    s = [0] * basis.n
-    for v in basis.vectors:
-        for l, x in enumerate(v):
-            s[l] += x
-    return sqrt(sum(x * x for x in s))
+    return sqrt(sum(map(sum, basis.gram)))
 
 
 def volume_count_bound(basis: RelationBasis, radius: float) -> float:

@@ -1,9 +1,8 @@
 """Small number-theoretic helpers used across the package.
 
 Everything here is exact integer arithmetic.  Trial division in `factorize`
-can stop at a bound, so a pruned sweep factors only the (k+1)-smooth part of
-an exponent, in O(k) steps whatever the exponent's size, and a capped sweep
-only the part below its cap.
+can stop at a bound, so a capped full sweep factors only the part of an
+exponent below its cap; a pruned sweep factors no exponent.
 """
 
 from functools import lru_cache

@@ -294,7 +294,8 @@ def test_pruned_decay_is_guarded_by_its_products(argv, capsys):
 
 
 def test_pruned_factors_of_a_large_prime_exponent_are_fast(capsys):
-    # trial division stops at k + 1 = 3 instead of at the square root, 10^8
+    # a pruned sweep factors no exponent: its filter tries only the primes up
+    # to k + 1 = 3, so the 10^16 prime costs no trial division
     start = time.perf_counter()
     code, out, _ = run_cli(["factors", "--mode", "fs-pruned", "210", "10000000000000061"], capsys)
     assert code == 0 and json.loads(out)["factors"] == []
@@ -319,6 +320,24 @@ def test_trial_divisions_above_the_guard_are_refused(capsys):
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ResourceLimitError"
     assert "trial divisions" in json.loads(err)["message"]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k, N, unit", [
+    # the filter would visit the k + 1 keys once for each of the 9,592 and
+    # 2,262 primes up to k + 1, 9.60 * 10^8 and 4.53 * 10^7 visits
+    ("100000", "300000", "9.60e+8 predicted first-peel key visits"),
+    ("20000", "100000", "4.53e+7 predicted first-peel key visits"),
+    # 1.45 * 10^6 visits pass, and the walk's node bound is refused
+    ("3200", "1000000000", "predicted candidate moduli"),
+])
+def test_large_k_sweeps_are_refused_before_they_walk(k, N, unit, capsys):
+    start = time.perf_counter()
+    argv = ["decay", "--k-list", k, "--N", N, "--trials", "5", "--workers", "1", "--mode", "fs-pruned"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+    assert unit in json.loads(err)["message"]
     assert time.perf_counter() - start < 1.0
 
 

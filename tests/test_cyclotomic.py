@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import event, given, settings
@@ -28,8 +28,8 @@ from lacunary.cyclotomic import (
     _column_classes,
     _cyclotomic_coeffs,
     _largest_modulus,
-    _partner_moduli,
     _poly_divexact,
+    _sweep_moduli,
 )
 import lacunary.cyclotomic as cyclotomic_module
 from lacunary.numtheory import (
@@ -534,28 +534,21 @@ def test_dense_factors_are_among_the_generated_candidates():
         k = stream.randbelow(7) + 1
         F = sample_random(k, 40, 61, i)
         dense = [n for n in range(2, sweep_cap(F.N) + 1) if divides_phi_dense(F, n)]
-        assert set(dense) <= set(_partner_moduli(F, None, None)[0]), F.exponents
+        assert set(dense) <= set(_sweep_moduli(F, None, None)[0]), F.exponents
         assert dense == find_cyclotomic_factors(F)
 
 
-def _filtered_partners(F, k, cap):
+def _filtered_range(F, k, cap):
     """The spec of the walk: the n of the range that pass the first-peel filter
-    at every p^v || n and have n / gcd(n, e_j) admissible for k terms and above
-    1 for some exponent e_j."""
+    at every p^v || n."""
     keys = (0,) + F.exponents
-
-    def admissible(m):
-        f = factorize(m)
-        return m > 1 and all(a == 1 for _, a in f) and 2 + sum(p - 2 for p, _ in f) <= F.k + 1
-
     return [
         n for n in _candidate_moduli(F.N, k, cap)
         if all(_column_classes(keys, p, p**v) is not None for p, v in factorize(n))
-        and any(admissible(n // gcd(n, e)) for e in F.exponents)
     ]
 
 
-def test_walk_is_the_filtered_partner_range():
+def test_walk_is_the_filtered_range():
     # a small share of the range, and the classes of every modulus's peel
     # power are the filter's
     polys = [sample_random(13, 10**4, 1, 0), sample_random(5, 3000, 1, 1)]
@@ -565,14 +558,14 @@ def test_walk_is_the_filtered_partner_range():
         keys = (0,) + F.exponents
         for k in (None, F.k):
             for cap in (None, F.N // 3):
-                moduli, classes = _partner_moduli(F, k, cap)
-                assert moduli == _filtered_partners(F, k, cap), (F.exponents, k, cap)
+                moduli, classes = _sweep_moduli(F, k, cap)
+                assert moduli == _filtered_range(F, k, cap), (F.exponents, k, cap)
                 for n in moduli:
                     p, q, _ = peel(n)
                     assert classes[q] == _column_classes(keys, p, q)
     F = polys[0]
     for k in (None, F.k):
-        assert len(_partner_moduli(F, k, None)[0]) * 20 < len(_candidate_moduli(F.N, k, None))
+        assert len(_sweep_moduli(F, k, None)[0]) * 20 < len(_candidate_moduli(F.N, k, None))
 
 
 def test_walk_matches_the_range_above_k_120():
@@ -611,41 +604,26 @@ def test_full_sweep_near_the_guard_against_the_closed_form():
     assert _candidate_moduli.cache_info().currsize == 0
 
 
-def _smooth_part(x, bound):
-    """The largest divisor of x with no prime above bound."""
-    part = 1
-    for p in primes_up_to(bound):
-        while x % p == 0:
-            x, part = x // p, part * p
-    return part
-
-
 def test_pruned_guard_prediction_bounds_the_walk():
     # a node of the walk takes at most one passing power of each prime, and
     # the guard counts prod(1 + passing powers of p) before the walk, so the
-    # count bounds every modulus a sweep builds; a pruned modulus is also some
-    # (k+1)-smooth divisor g of an exponent times an admissible kernel m
+    # count bounds every modulus a sweep builds
     for k in (1, 2, 3, 5, 8, 13, 20, 40):
-        kernels = admissible_kernels(k)
         for N in (60, 3000, 10**9, 10**15):
             F = sample_random(k, N, 83, N % 97)
             # a full sweep of exponents near 10^15 is refused on its trial divisions
             for mode_k in (None, k) if N <= 10**9 else (k,):
-                moduli, classes = _partner_moduli(F, mode_k, None)
+                moduli, classes = _sweep_moduli(F, mode_k, None)
                 passing = Counter(factorize(q)[0][0] for q in classes)
                 assert len(moduli) <= prod(1 + a for a in passing.values()), (k, N, mode_k)
-            if N <= 3000:  # moduli are the pruned sweep's
-                parts = [_smooth_part(x, k + 1) for x in F.exponents]
-                touched = {g * m for x in parts for g in range(1, x + 1) if x % g == 0 for m in kernels}
-                assert set(moduli) <= touched, (k, N)
     # the range no longer refuses a full sweep of x^(10^8) + 1, and the node
     # bound refuses j * 93,312,000 for j = 1..60 before the walk
     F = SparsePoly((10**8,), 10**8)
-    assert 512 in _partner_moduli(F, None, None)[0]
-    assert 512 in _partner_moduli(F, 1, None)[0]
+    assert 512 in _sweep_moduli(F, None, None)[0]
+    assert 512 in _sweep_moduli(F, 1, None)[0]
     F = SparsePoly(tuple(j * 93312000 for j in range(1, 61)), 60 * 93312000)
     with pytest.raises(ResourceLimitError, match="4.72e"):
-        _partner_moduli(F, None, None)
+        _sweep_moduli(F, None, None)
 
 
 def _divisors_of_smooth_part(x, bound):
@@ -729,7 +707,7 @@ def test_sweep_matches_the_per_candidate_walk_on_shared_peels():
     found = find_cyclotomic_factors(F)
     assert {3, 6, 12, 5, 10, 15, 30} <= set(found)
     vec = dict.fromkeys((0,) + F.exponents, 1)
-    moduli, classes = _partner_moduli(F, None, None)
+    moduli, classes = _sweep_moduli(F, None, None)
     assert all(_column_classes(vec, *peel(n)[:2]) is not None for n in moduli)
     shared = Counter(peel(n)[1] for n in moduli)
     assert shared[3] >= 2 and shared[5] >= 2 and set(shared) <= set(classes)
