@@ -13,13 +13,16 @@ cap is its largest exponent.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from struct import Struct
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import InvalidParametersError, PolyParseError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_LANES = 256  # words mixed together in one big-integer pass
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,39 @@ class SparsePoly:
 # A counter-based generator (splitmix64 finalizer over a per-trial key) makes
 # every draw a pure function of (seed, index), so trials can run in any order
 # or on any worker and still reproduce bit-identically.
+#
+# Because the n-th word depends only on the key and n, a trial's words can be
+# mixed together: word i sits in bits [128 i, 128 i + 64) of one int, and each
+# splitmix step runs once on the whole int.  The lanes cannot interfere.  A
+# 64 x 64-bit product fits in its 128-bit lane, so no carry crosses into the
+# next one, and every shift is masked back to the low 64 bits of each lane,
+# which drops the bits it brings down from the lane above.
+#
+# Floyd's algorithm draws below j = N - k + 1, ..., N, and a one-word draw
+# below j is rejected only when it is at least 2^64 - (2^64 mod j), a limit
+# above 2^64 - N since 2^64 mod j < j <= N.  So when every word of a trial is
+# below 2^64 - N, none is rejected, and word i is the draw for j = N - k + 1 + i
+# exactly as in the sequential stream; otherwise the trial is drawn again,
+# one word at a time, from the start of its stream.  Floyd substitutes j for
+# a draw t only when t was already chosen, so distinct draws are the sample.
 
 
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=32)
+def _lane_constants(lanes: int) -> tuple[Struct, int, int, int]:
+    """The layout of `lanes` words; ints with 1, i * gamma mod 2^64 and 2^64 - 1 in lane i."""
+    layout = Struct("<" + "Q8x" * lanes)
+
+    def pack(values):
+        return int.from_bytes(layout.pack(*values), "little")
+
+    ones = pack([1] * lanes)
+    return layout, ones, pack([i * _GAMMA & _MASK64 for i in range(lanes)]), _MASK64 * ones
 
 
 class _Stream:
@@ -79,6 +109,20 @@ class _Stream:
     def next64(self) -> int:
         self.counter += 1
         return _mix64((self.key + self.counter * _GAMMA) & _MASK64)
+
+    def words(self, count: int) -> list[int]:
+        """The next `count` values of next64, mixed _LANES at a time in one int."""
+        start = self.counter
+        self.counter += count
+        out: list[int] = []
+        for first in range(start, self.counter, _LANES):
+            lanes = min(_LANES, self.counter - first)
+            layout, ones, steps, mask = _lane_constants(lanes)
+            z = ((self.key + (first + 1) * _GAMMA) & _MASK64) * ones + steps & mask
+            z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27 & mask) * 0x94D049BB133111EB & mask
+            out += layout.unpack((z ^ z >> 31 & mask).to_bytes(16 * lanes, "little"))
+        return out
 
     def randbelow(self, m: int) -> int:
         # rejection keeps the draw exactly uniform on [0, m)
@@ -110,11 +154,20 @@ def sample_random(k: int, N: int, seed: int, index: int) -> SparsePoly:
     """
     if not 1 <= k <= N:
         raise InvalidParametersError(f"need 1 <= k <= N, got k={k}, N={N}")
-    stream = _Stream(seed, index)
-    chosen: set[int] = set()
-    for j in range(N - k + 1, N + 1):
-        t = stream.randbelow(j) + 1
-        chosen.add(j if t in chosen else t)
+    js = range(N - k + 1, N + 1)
+    accepted = (1 << 64) - N  # no word below it is rejected (see above)
+    draws = _Stream(seed, index).words(k) if accepted > 0 else None
+    if draws and max(draws) < accepted:
+        ts = [r % j + 1 for r, j in zip(draws, js)]
+    else:
+        stream = _Stream(seed, index)
+        ts = [stream.randbelow(j) + 1 for j in js]
+    del draws
+    chosen = set(ts)
+    if len(chosen) < k:  # Floyd substituted: replay it on the same draws
+        chosen = set()
+        for j, t in zip(js, ts):
+            chosen.add(j if t in chosen else t)
     return SparsePoly(tuple(sorted(chosen)), N)
 
 

@@ -22,6 +22,7 @@ from lacunary import (
     read_poly_file,
     sample_random,
 )
+from lacunary.sparsepoly import _Stream
 
 
 def compositions(total, parts):
@@ -150,6 +151,51 @@ def test_one_word_stream_is_frozen():
                     for index in range(4):
                         h.update(repr(sample_random(k, N, seed, index).exponents).encode())
     assert h.hexdigest() == "a40228724277b43356bd3d5665baefaffd5c8e9e98cdef8f220087084860a9b0"
+
+
+def test_large_k_stream_is_frozen():
+    # k across 256 draws, and k near N, where Floyd's substitution replaces draws
+    cases = [(k, N) for N in (10**3, 10**5, 10**9) for k in (199, 255, 256, 257, 600)]
+    cases += [(k, N) for N in (50, 300) for k in (N // 2, N - 1, N)]
+    h = hashlib.sha256()
+    for seed in (0, 1, 7):
+        for k, N in cases:
+            for index in range(4):
+                h.update(repr(sample_random(k, N, seed, index).exponents).encode())
+    assert h.hexdigest() == "c2bd7757aba1f82afce0d099448fb8729aab9395503331b2471a49695e2e1064"
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
+def test_words_are_the_next64_stream(count):
+    for skip in (0, 3):
+        batched, single = _Stream(5, 2), _Stream(5, 2)
+        for _ in range(skip):
+            assert batched.next64() == single.next64()
+        assert batched.words(count) == [single.next64() for _ in range(count)]
+        assert batched.counter == single.counter == skip + count
+
+
+def _sequential_floyd(k, N, seed, index):
+    stream = _Stream(seed, index)
+    chosen = set()
+    for j in range(N - k + 1, N + 1):
+        t = stream.randbelow(j) + 1
+        chosen.add(j if t in chosen else t)
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize(
+    "k,N",
+    [
+        (199, 10**5),  # distinct draws: the batch's set is the answer
+        (25, 50), (299, 300), (300, 300),  # Floyd substitutes: the batch replays it
+        (13, 2**63), (13, 2**64 - 1),  # a word may be rejected: drawn one at a time
+        (1, 2**63 + 13), (13, 2**63 + 13),  # about half the words are rejected
+    ],
+)
+def test_sample_is_the_sequential_floyd_loop(k, N):
+    for index in range(4):
+        assert sample_random(k, N, 3, index).exponents == _sequential_floyd(k, N, 3, index)
 
 
 @pytest.mark.parametrize("N", [2**64 + 1, 10**20, 2**200])
