@@ -44,12 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("test", "detect factors for each polynomial in a file")
     p.add_argument("file", nargs="?", default=None, help="polynomial file (default stdin)")
     p.add_argument("--mode", choices=SWEEP_MODES, default="full-sweep")
-    p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
     p = command("factors", "detect factors for one polynomial")
     p.add_argument("exponents", type=int, nargs="+")
     p.add_argument("--mode", choices=SWEEP_MODES, default="full-sweep")
-    p.add_argument("--cap-override", type=int, default=None, dest="cap_override")
 
     p = command("basis", "relation-lattice basis for a modulus")
     p.add_argument("--n", type=int, required=True)
@@ -84,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _detection_record(poly: SparsePoly, mode: str, cap: int | None) -> dict:
-    factors = find_cyclotomic_factors(poly, mode=mode, cap=cap)
+def _detection_record(poly: SparsePoly, mode: str) -> dict:
+    factors = find_cyclotomic_factors(poly, mode=mode)
     return {
         "exponents": list(poly.exponents),
         "factors": factors,
@@ -101,13 +99,13 @@ def _run_test(args, out) -> None:
     else:
         polys = list(read_poly_file(sys.stdin))
     for _, poly in polys:
-        record = _detection_record(poly, args.mode, args.cap_override)
+        record = _detection_record(poly, args.mode)
         out.write(json.dumps(record) + "\n")
 
 
 def _run_factors(args, out) -> None:
     poly = SparsePoly(tuple(args.exponents), args.exponents[-1])
-    record = _detection_record(poly, args.mode, args.cap_override)
+    record = _detection_record(poly, args.mode)
     out.write(json.dumps(record) + "\n")
 
 

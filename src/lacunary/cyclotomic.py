@@ -29,10 +29,11 @@ benchmark's check of it:
 A sweep's range is exactly the moduli n with phi(n) <= N, the only ones
 whose cyclotomic polynomial can divide a non-zero polynomial of degree N.
 It can be pruned to moduli whose squarefree kernel survives the term-count
-test (see bounds.admissible_kernels), and cut at a cap.  The range's last
-modulus, sweep_cap(N), comes from a branch and bound over prime powers, but
-no sweep lists the range: one depth-first walk over prime powers builds
-only the moduli that F's first-peel filter allows.
+test (see bounds.admissible_kernels).  The range's last modulus,
+sweep_cap(N), comes from a branch and bound over prime powers, but no sweep
+lists the range: one depth-first walk over prime powers builds only the
+moduli that F's first-peel filter allows.  A cap takes no part in the
+sweep: it only cuts the ascending factor list.
 
 The first-peel filter holds at every prime power of n, not only the
 largest.  For p^v || n, n = p^v n'', the p^v-th cyclotomic polynomial stays
@@ -44,12 +45,12 @@ column.  So the powers of p that pass form a prefix p, p^2, ..., p^{a_p},
 checked once per sweep.  Above k + 1 no class holds p columns, so there p
 passes only if it divides some e_j.
 
-One event.  Under any cap, some cyclotomic polynomial of the full range
-divides F exactly when one of the pruned range does, so the any-factor
-event has one generator, the pruned sweep.  The pruned moduli are among
-the full ones, which gives one way.  Conversely let the n-th cyclotomic
-polynomial divide F and split the sum of zeta_n^t, t in {0, e_1, ...,
-e_k}, into minimal vanishing sub-sums P_1, ..., P_s.  By Mann
+One event.  Some cyclotomic polynomial of the full range divides F exactly
+when one of the pruned range does, so the any-factor event has one
+generator, the pruned sweep.  The pruned moduli are among the full ones,
+which gives one way.  Conversely let the n-th cyclotomic polynomial divide
+F and split the sum of zeta_n^t, t in {0, e_1, ..., e_k}, into minimal
+vanishing sub-sums P_1, ..., P_s.  By Mann
 (Mathematika 12, 1965) and Conway-Jones (Acta Arith. 30, 1976) each P_i is
 zeta_n^{t_i} times a sum of m_i-th roots of unity, with m_i squarefree (the
 least such), m_i | n and
@@ -60,10 +61,10 @@ vanishes with zeta_{n'} in place of zeta_n: it is a rotation of a Galois
 conjugate of the same sum, and the n'-th cyclotomic polynomial divides F.
 Its kernel M is admissible for k, since
 2 + sum_{p | M} (p - 2) <= 2 + sum_i (|P_i| - 2) <= k + 1, and n' | n gives
-phi(n') <= phi(n) <= N and n' <= n <= cap.
+phi(n') <= phi(n) <= N; as n' <= n, the modes agree under a cap too.
 
 The walk extends n by the passing powers of each prime in ascending order.
-It stops on phi(n) > N, on n > cap and, for the pruned range, on the cost
+It stops on phi(n) > N and, for the pruned range, on the cost
 sum_{p | n} (p - 2) > k - 1.  Every node is tested, in ascending order, on
 the classes the filter kept for q = peel(n)[1], so factor lists and early
 exits are those of the whole range.
@@ -71,14 +72,13 @@ exits are those of the whole range.
 The guard refuses a sweep before the filter runs and again before the walk.
 A full sweep must factor its exponents to find the primes above k + 1 that
 divide one, so it is first refused on the trial divisions, the sum over the
-exponents of min(isqrt(e_j), cap): a prime above the cap divides no
-modulus.  Every sweep is then refused on its first-peel key visits, k + 1
-for each prime the filter tries (p <= cap, p - 1 <= N).  Once the filter has
-kept the passing powers of each prime, it refuses on the least of three
+exponents of isqrt(e_j).  Every sweep is then refused on its first-peel
+key visits, k + 1 for each prime the filter tries.  Once the filter has
+kept the passing powers of each prime, it refuses on the lesser of two
 counts of candidate moduli: the range, about 1.9436 N moduli (an exact
-integer, so any N has one), the cap, and the walk's nodes.  A node takes at
-most one passing power of each prime, so a walk has at most prod(1 + a_p)
-nodes over the primes p with a_p passing powers, in either mode.
+integer, so any N has one), and the walk's nodes.  A node takes at most one
+passing power of each prime, so a walk has at most prod(1 + a_p) nodes over
+the primes p with a_p passing powers, in either mode.
 """
 
 from collections import Counter
@@ -253,37 +253,36 @@ def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
 SWEEP_MODES = ("full-sweep", "fs-pruned")
 
 
-def _guard(N: int, cap: int | None, nodes: int | float = inf) -> None:
+def _guard(N: int, nodes: int | float = inf) -> None:
     """Refuse a sweep before anything is listed: its range holds about
-    1.9436 N moduli, and its cap and its walk's nodes bound them too."""
+    1.9436 N moduli, and its walk's nodes bound them too."""
     # F(1) = k + 1, so F is non-zero of degree <= N and Phi_n | F forces phi(n) <= N.
     # About zeta(2) zeta(3) / zeta(6) * N = 1.9436 N moduli qualify, counted
     # in integers and rounded up, so that any N has a count.
-    refuse_above(min(-(-19436 * N // 10000), inf if cap is None else cap, nodes), "candidate moduli")
+    refuse_above(min(-(-19436 * N // 10000), nodes), "candidate moduli")
 
 
 @lru_cache(maxsize=4)
-def _candidate_moduli(N: int, k: int | None, cap: int | None) -> tuple[int, ...]:
-    """Every n >= 2 with phi(n) <= N and n <= cap (if given), ascending.
+def _candidate_moduli(N: int, k: int | None) -> tuple[int, ...]:
+    """Every n >= 2 with phi(n) <= N, ascending.
 
     k=None lists them all (full sweep); otherwise only the n whose squarefree
     kernel is admissible for k terms (fs-pruned).  The list comes from a
     depth-first walk over prime powers.  No sweep lists its range: this is
     the tests' reference for it.
     """
-    _guard(N, cap)
-    top = inf if cap is None else cap
+    _guard(N)
     budget = inf if k is None else k - 1  # the Conway-Jones cost sum_{p | n} (p - 2)
-    primes = primes_up_to(min(N + 1, top) if k is None else min(N + 1, top, k + 1))
+    primes = primes_up_to(N + 1 if k is None else min(N + 1, k + 1))
     found = []
 
     def walk(start: int, n: int, phi: int, cost: int) -> None:
         for i in range(start, len(primes)):
             p = primes[i]
             m, f = n * p, phi * (p - 1)
-            if f > N or m > top or cost + p - 2 > budget:
-                break  # all three only fail more as p grows
-            while f <= N and m <= top:
+            if f > N or cost + p - 2 > budget:
+                break  # both only fail more as p grows
+            while f <= N:
                 found.append(m)
                 walk(i + 1, m, f, cost + p - 2)
                 m, f = m * p, f * p
@@ -343,13 +342,11 @@ def sweep_cap(N: int) -> int:
     """Largest n with phi(n) <= N: the last modulus a full sweep tests."""
     if N < 1:
         raise InvalidParametersError(f"degree cap must be >= 1, got {N}")
-    _guard(N, None)
+    _guard(N)
     return _largest_modulus(N)
 
 
-def _sweep_moduli(
-    poly: SparsePoly, k: int | None, cap: int | None
-) -> tuple[list[int], dict[int, dict[int, list[list[int]]]]]:
+def _sweep_moduli(poly: SparsePoly, k: int | None) -> tuple[list[int], dict[int, dict[int, list[list[int]]]]]:
     """The moduli a sweep tests, ascending, and the first-peel classes of
     every prime power p^v they may hold, by q = p^v.
 
@@ -360,16 +357,14 @@ def _sweep_moduli(
     N = poly.N
     if not poly.exponents:
         return [], {}  # F = 1 has no cyclotomic factor
-    top = inf if cap is None else cap
     budget = inf if k is None else k - 1  # the Conway-Jones cost sum_{p | n} (p - 2)
     # above k + 1 a class holds fewer than p columns, so p passes only if it
-    # divides an exponent; a pruned modulus is (k+1)-smooth, and no prime above
-    # the cap divides a modulus, so a full sweep's trial division stops there
+    # divides an exponent; a pruned modulus is (k+1)-smooth.  As k <= N and
+    # every e_j <= N, each prime tried has phi(p) <= N.
     primes = primes_up_to(poly.k + 1)
     if k is None:
-        refuse_above(sum(min(isqrt(e), cap or e) for e in poly.exponents), "trial divisions")
-        primes = sorted(set(primes).union(p for e in poly.exponents for p, _ in factorize(e, cap)))
-    primes = [p for p in primes if p <= top and p - 1 <= N]
+        refuse_above(sum(isqrt(e) for e in poly.exponents), "trial divisions")
+        primes = sorted(set(primes).union(p for e in poly.exponents for p, _ in factorize(e)))
     refuse_above((poly.k + 1) * len(primes), "first-peel key visits")
     keys = (0,) + poly.exponents
     classes_by_q: dict[int, dict[int, list[list[int]]]] = {}
@@ -378,7 +373,7 @@ def _sweep_moduli(
         q, qs = p, []
         # the filter rejects by p^(m+2), m the most times p divides an exponent:
         # column 0 then holds only the constant term, alone in its class
-        while q <= top and q - q // p <= N:
+        while q - q // p <= N:
             classes = _column_classes(keys, p, q)
             if classes is None:
                 break  # a one-term column stays alone in its class at every higher power
@@ -388,17 +383,17 @@ def _sweep_moduli(
         if qs:
             powers.append((p, qs))
     # a node takes at most one passing power of each prime
-    _guard(N, cap, prod(len(qs) + 1 for _, qs in powers))
+    _guard(N, prod(len(qs) + 1 for _, qs in powers))
     found = []
 
     def walk(start: int, n: int, phi: int, cost: int) -> None:
         for i in range(start, len(powers)):
             p, qs = powers[i]
-            if phi * (p - 1) > N or n * p > top or cost + p - 2 > budget:
-                break  # all three only fail more as p grows
+            if phi * (p - 1) > N or cost + p - 2 > budget:
+                break  # both only fail more as p grows
             for q in qs:
                 m, f = n * q, phi * (q - q // p)
-                if f > N or m > top:
+                if f > N:
                     break
                 found.append(m)
                 walk(i + 1, m, f, cost + p - 2)
@@ -409,7 +404,7 @@ def _sweep_moduli(
 
 
 def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
-    """The candidate moduli whose cyclotomic polynomial divides F, lazily.
+    """The candidate moduli up to the cap whose cyclotomic polynomial divides F, lazily.
 
     The classes of each q = peel(n)[1] come from the walk's filter.
     """
@@ -417,9 +412,11 @@ def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
     if cap is not None and cap < 1:
         raise InvalidParametersError(f"cap must be >= 1, got {cap}")
-    moduli, classes_by_q = _sweep_moduli(poly, poly.k if mode == "fs-pruned" else None, cap)
+    moduli, classes_by_q = _sweep_moduli(poly, poly.k if mode == "fs-pruned" else None)
     vec = dict.fromkeys((0,) + poly.exponents, 1)
     for n in moduli:
+        if cap is not None and n > cap:
+            return  # the moduli ascend
         p, q, nprime = peel(n)
         if _classes_vanish(vec, p, nprime, classes_by_q[q]):
             yield n
@@ -432,15 +429,15 @@ def find_cyclotomic_factors(
 
     mode 'full-sweep' ranges over every n >= 2 with phi(n) <= N; 'fs-pruned'
     over only those whose squarefree kernel passes the term-count test for
-    k terms.  A cap further limits both to n <= cap.  Both modes agree on
-    whether any factor exists at all (see "One event" in the module
-    docstring), so they differ only in the list.  Only the moduli the
-    exponents allow are tested, which finds the same factors as testing the
-    whole range.
+    k terms.  A cap cuts the list at n <= cap; the sweep, and so its
+    refusal, does not depend on it.  Both modes agree on whether any factor
+    exists at all (see "One event" in the module docstring), so they differ
+    only in the list.  Only the moduli the exponents allow are tested, which
+    finds the same factors as testing the whole range.
     """
     return list(_factor_moduli(poly, mode, cap))
 
 
 def has_cyclotomic_factor(poly: SparsePoly, mode: str = "full-sweep", cap: int | None = None) -> bool:
-    """Whether any cyclotomic polynomial divides F (early-exit sweep)."""
+    """Whether any cyclotomic polynomial, of n <= cap if given, divides F (early-exit sweep)."""
     return any(_factor_moduli(poly, mode, cap))  # every modulus is >= 2, so truthy

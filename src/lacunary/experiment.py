@@ -80,11 +80,13 @@ def _range_hits(args) -> int:
 def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
     """Hits per event (k, N, n, seed) over trials 0..trials-1.
 
-    Each event's trials split into `workers` chunks; all chunks of all events
-    share one pool of at most nproc processes.
+    Each event's trials split into `workers` chunks, or one per trial if
+    there are fewer trials; all chunks of all events share one pool of at
+    most nproc processes.
     """
-    bounds = [trials * i // workers for i in range(workers + 1)]
-    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    chunks = min(workers, trials)
+    bounds = [trials * i // chunks for i in range(chunks + 1)]
+    spans = list(zip(bounds, bounds[1:]))
     jobs = [event + span for event in events for span in spans]
     if len(spans) <= 1 or trials < _PARALLEL_MIN_TRIALS:
         hits = [_range_hits(job) for job in jobs]

@@ -1,8 +1,7 @@
 """Small number-theoretic helpers used across the package.
 
-Everything here is exact integer arithmetic.  Trial division in `factorize`
-can stop at a bound, so a capped full sweep factors only the part of an
-exponent below its cap; a pruned sweep factors no exponent.
+Everything here is exact integer arithmetic.  A full sweep factors each
+exponent by trial division to its square root; a pruned sweep factors none.
 """
 
 from functools import lru_cache
@@ -22,18 +21,13 @@ def primes_up_to(m: int) -> list[int]:
     return [i for i in range(m + 1) if sieve[i]]
 
 
-def factorize(n: int, bound: int | None = None) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending.
-
-    With a bound, trial division stops past it and only the primes up to
-    the bound are returned: the factorization of n's bound-smooth part.
-    """
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:
         raise InvalidParametersError(f"cannot factor {n}")
-    last = n if bound is None else bound
     out = []
     d = 2
-    while d * d <= n and d <= last:
+    while d * d <= n:
         e = 0
         while n % d == 0:
             e += 1
@@ -41,7 +35,7 @@ def factorize(n: int, bound: int | None = None) -> tuple[tuple[int, int], ...]:
         if e:
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if 1 < n <= last:  # a prime, unless trial division stopped at the bound
+    if n > 1:  # what is left past the square root is a prime
         out.append((n, 1))
     return tuple(out)
 

@@ -79,10 +79,11 @@ class SparsePoly:
 # a draw t only when t was already chosen, so distinct draws are the sample.
 
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: int, mask: int = _MASK64) -> int:
+    """The splitmix64 finalizer, in every 64-bit lane that mask keeps."""
+    z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27 & mask) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31 & mask
 
 
 @lru_cache(maxsize=32)
@@ -118,10 +119,8 @@ class _Stream:
         for first in range(start, self.counter, _LANES):
             lanes = min(_LANES, self.counter - first)
             layout, ones, steps, mask = _lane_constants(lanes)
-            z = ((self.key + (first + 1) * _GAMMA) & _MASK64) * ones + steps & mask
-            z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
-            z = (z ^ z >> 27 & mask) * 0x94D049BB133111EB & mask
-            out += layout.unpack((z ^ z >> 31 & mask).to_bytes(16 * lanes, "little"))
+            z = _mix64(((self.key + (first + 1) * _GAMMA) & _MASK64) * ones + steps & mask, mask)
+            out += layout.unpack(z.to_bytes(16 * lanes, "little"))
         return out
 
     def randbelow(self, m: int) -> int:

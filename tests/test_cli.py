@@ -1,8 +1,8 @@
 """Command-line surface: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacunary import total_bound
-from lacunary.cli import main
+from lacunary import ResourceLimitError, SparsePoly, find_cyclotomic_factors, total_bound
+from lacunary.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -92,6 +92,36 @@ def test_degree_cap_is_not_a_flag(argv, capsys):
     assert exc.value.code == 2
 
 
+def test_cap_override_is_not_a_flag(capsys):
+    # a cap would only cut the factor list, and Phi_n | F already forces phi(n) <= deg F
+    with pytest.raises(SystemExit) as exc:
+        main(["factors", "5", "--cap-override", "9"])
+    assert exc.value.code == 2
+
+
+# the flags each command takes, as README's CLI section states them; a flag
+# added or removed shows as an edit here
+FLAGS = {
+    "test": {"--output", "--mode"},
+    "factors": {"--output", "--mode"},
+    "basis": {"--output", "--n"},
+    "candidates": {"--output", "--format", "--k"},
+    "bounds": {"--output", "--format", "--k"},
+    "estimate": {"--output", "--format", "--seed", "--workers", "--k", "--N", "--n", "--trials", "--mode"},
+    "decay": {"--output", "--format", "--seed", "--workers", "--k-list", "--N", "--trials", "--mode"},
+    "enumerate": {"--output", "--format", "--k", "--N", "--n", "--mode"},
+}
+
+
+def test_flag_inventory():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {
+        name: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert taken == FLAGS
+
+
 def test_factors_command(capsys):
     code, out, _ = run_cli(["factors", "5"], capsys)
     assert code == 0
@@ -105,38 +135,7 @@ def test_factors_pruned_mode_records_mode(capsys):
     assert rec["mode"] == "fs-pruned" and rec["factors"] == [3]
 
 
-def test_cap_override_limits_sweep(capsys):
-    code, out, _ = run_cli(["factors", "5", "--cap-override", "9"], capsys)
-    rec = json.loads(out)
-    assert rec["factors"] == [2]  # 10 is beyond the overridden cap
-
-
 # --- inspection commands -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-@pytest.mark.parametrize("argv", [
-    ["factors", "1", "2"],
-    ["test", "POLYS"],
-])
-def test_cap_below_one_is_invalid_parameters(argv, cap, tmp_path, monkeypatch, capsys):
-    # a cap below 1 leaves no modulus to test, so it would read 1 + x + x^2 = Phi_3
-    # as "no factor"
-    f = tmp_path / "polys.txt"
-    f.write_text("1 2\n")
-    argv = [str(f) if a == "POLYS" else a for a in argv]
-    pools = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: pools.append(method))
-    code, out, err = run_cli(argv + ["--cap-override", cap], capsys)
-    assert code == 4 and out == "" and pools == []
-    assert json.loads(err)["error"] == "InvalidParametersError"
-    assert len(err.strip().split("\n")) == 1
-
-
-def test_cap_of_one_leaves_no_modulus(capsys):
-    code, out, _ = run_cli(["factors", "1", "2", "--cap-override", "1"], capsys)
-    assert code == 0
-    assert json.loads(out)["factors"] == []
 
 
 def test_basis_command(capsys):
@@ -303,19 +302,23 @@ def test_pruned_factors_of_a_large_prime_exponent_are_fast(capsys):
 
 
 def test_capped_full_sweep_of_a_large_prime_exponent_is_fast(capsys):
-    # a prime above the cap divides no modulus, so trial division stops at the
-    # cap instead of at the square root, 10^8
+    # the 10^16 prime would be trial-divided up to its square root, 10^8; a cap
+    # only cuts the factor list, so the capped sweep is refused as fast as the
+    # uncapped one
     start = time.perf_counter()
-    code, out, _ = run_cli(["factors", "--cap-override", "100", "210", "10000000000000061"], capsys)
-    assert code == 0 and json.loads(out)["factors"] == []
+    code, out, err = run_cli(["factors", "210", "10000000000000061"], capsys)
+    assert code == 3 and out == ""
+    assert "1.01e+8 predicted trial divisions" in json.loads(err)["message"]
+    with pytest.raises(ResourceLimitError, match="1.01e\\+8 predicted trial divisions"):
+        find_cyclotomic_factors(SparsePoly((210, 10000000000000061), 10000000000000061), cap=100)
     assert time.perf_counter() - start < 1.0
 
 
 def test_trial_divisions_above_the_guard_are_refused(capsys):
-    # twelve exponents near 10^16 under a cap of 10^7 would each be trial-divided
-    # up to the cap, 1.2 * 10^8 divisions in all
+    # twelve exponents near 10^16 would each be trial-divided up to its square
+    # root, 2.92 * 10^9 divisions in all
     start = time.perf_counter()
-    argv = ["factors", "--cap-override", "10000000"] + [str(j * 10000000000000061) for j in range(1, 13)]
+    argv = ["factors"] + [str(j * 10000000000000061) for j in range(1, 13)]
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ResourceLimitError"

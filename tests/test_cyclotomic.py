@@ -299,11 +299,8 @@ def phi_to_60():
 def test_full_sweep_candidates_are_the_moduli_with_phi_at_most_N(phi_to_60):
     for N in range(1, 61):
         brute = sorted(n for n, f in phi_to_60.items() if f <= N)
-        assert _candidate_moduli(N, None, None) == tuple(brute), N
+        assert _candidate_moduli(N, None) == tuple(brute), N
         assert sweep_cap(N) == brute[-1]
-        for cap in (1, 2, N, N + 1, 2 * N, brute[-1] - 1, brute[-1] + 5):
-            expect = tuple(n for n in brute if n <= cap)
-            assert _candidate_moduli(N, None, cap) == expect, (N, cap)
 
 
 def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
@@ -314,7 +311,7 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
                 n for n, f in sorted(phi_to_60.items())
                 if f <= N and squarefree_kernel(n) in members
             )
-            assert _candidate_moduli(N, k, None) == expect, (k, N)
+            assert _candidate_moduli(N, k) == expect, (k, N)
     # k = 300 admits more kernels than admissible_kernels will list; the walk
     # charges each prime its Conway-Jones cost p - 2 instead
     for k in (40, 130, 300):
@@ -323,7 +320,7 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
                 n for n, f in sorted(phi_to_60.items())
                 if f <= N and 2 + sum(p - 2 for p, _ in factorize(n)) <= k + 1
             )
-            assert _candidate_moduli(N, k, None) == expect, (k, N)
+            assert _candidate_moduli(N, k) == expect, (k, N)
 
 
 def test_pruned_sweep_at_large_k_agrees_with_the_full_sweep():
@@ -343,14 +340,14 @@ def test_sweep_cap_by_branch_and_bound_is_the_last_of_the_range():
     # gives the last modulus of every smaller range; some are also walked
     top = 3000
     last = [0] * (top + 1)
-    for n in _candidate_moduli(top, None, None):
+    for n in _candidate_moduli(top, None):
         f = totient(n)
         last[f] = max(last[f], n)
     for N in range(1, top + 1):
         last[N] = max(last[N], last[N - 1])
         assert sweep_cap(N) == last[N], N
     for N in list(range(1, top + 1, 97)) + [top, 10**5]:
-        assert sweep_cap(N) == _candidate_moduli(N, None, None)[-1], N
+        assert sweep_cap(N) == _candidate_moduli(N, None)[-1], N
 
 
 def test_unknown_sweep_mode_raises():
@@ -390,11 +387,25 @@ def test_full_sweep_of_a_geometric_progression_above_the_range():
     assert time.perf_counter() - t < 1.0
 
 
-def test_small_cap_bounds_the_walk_not_the_degree():
-    # x^(10^8) + 1 has Phi_n | F exactly when n | 2 * 10^8 and n does not divide 10^8
+def test_small_cap_cuts_the_factor_list():
+    # x^(10^8) + 1 has Phi_n | F exactly when n | 2 * 10^8 and n does not divide 10^8;
+    # the sweep walks its few dozen candidates uncapped, and the cap cuts its list
     t = time.perf_counter()
     assert find_cyclotomic_factors(SparsePoly((10**8,), 10**8), cap=1000) == [512]
     assert time.perf_counter() - t < 1.0
+
+
+def test_cap_below_one_is_invalid_and_a_cap_of_one_lists_nothing():
+    # a cap below 1 would read 1 + x + x^2 = Phi_3 as "no factor"
+    F = SparsePoly((1, 2), 2)
+    for mode in ("full-sweep", "fs-pruned"):
+        for cap in (0, -3):
+            with pytest.raises(InvalidParametersError):
+                find_cyclotomic_factors(F, mode, cap)
+            with pytest.raises(InvalidParametersError):
+                has_cyclotomic_factor(F, mode, cap)
+        assert find_cyclotomic_factors(F, mode, 1) == []
+        assert not has_cyclotomic_factor(F, mode, 1)
 
 
 def test_find_factors_examples():
@@ -463,31 +474,29 @@ def test_full_sweep_matches_dense_exhaustively():
 MODES = ("full-sweep", "fs-pruned")
 
 
-def _reference_factors(F, mode, cap):
+def _reference_factors(F, mode, cap=None):
     """The walk the sweep replaces: every modulus of the range decided on its
-    own by root_power_sum_is_zero, with no grouping shared between moduli."""
+    own by root_power_sum_is_zero, with no grouping shared between moduli.
+
+    Under a cap it walks only the range of degree min(N, cap) and cuts that
+    at the cap: n <= cap gives phi(n) <= cap, so no modulus is lost.
+    """
     terms = (0,) + F.exponents
     k = F.k if mode == "fs-pruned" else None
-    return [n for n in _candidate_moduli(F.N, k, cap) if root_power_sum_is_zero(terms, n)]
+    top = F.N if cap is None else min(F.N, cap)
+    return [
+        n for n in _candidate_moduli(top, k)
+        if (cap is None or n <= cap) and root_power_sum_is_zero(terms, n)
+    ]
 
 
 def _assert_generated_is_exact(F, caps):
+    # a capped list is the uncapped reference cut at the cap
     for mode in MODES:
+        reference = _reference_factors(F, mode)
         for cap in caps:
-            assert find_cyclotomic_factors(F, mode, cap) == _reference_factors(F, mode, cap), (
-                F.exponents, F.N, mode, cap,
-            )
-
-
-def test_bounded_factorization_is_the_smooth_part():
-    for n in list(range(1, 400)) + [2**40 * 3**3 * 99991, 13**4 * 17 * 101**2, 210 * 999983]:
-        full = factorize(n)
-        for bound in (1, 2, 3, 5, 6, 13, 14, 97, n, n + 1):
-            assert factorize(n, bound) == tuple((p, e) for p, e in full if p <= bound), (n, bound)
-    # trial division stops at the bound, not at the square root of a 10^16 prime
-    start = time.perf_counter()
-    assert factorize(2 * 10000000000000061, 14) == ((2, 1),)
-    assert time.perf_counter() - start < 0.1
+            expect = [n for n in reference if cap is None or n <= cap]
+            assert find_cyclotomic_factors(F, mode, cap) == expect, (F.exponents, F.N, mode, cap)
 
 
 def test_generated_matches_the_walk_exhaustively():
@@ -511,8 +520,9 @@ def test_generated_matches_the_walk_on_seeded_polynomials():
     _assert_generated_is_exact(sample_random(3, 10**5, 53, 0), (None, 10**4))
     for k in (13, 20):
         F = sample_random(k, 10**5, 53, k)
-        _assert_generated_is_exact(F, (10**4,))
-        assert find_cyclotomic_factors(F, "fs-pruned") == _reference_factors(F, "fs-pruned", None)
+        for mode in MODES:
+            assert find_cyclotomic_factors(F, mode, 10**4) == _reference_factors(F, mode, 10**4), (k, mode)
+        assert find_cyclotomic_factors(F, "fs-pruned") == _reference_factors(F, "fs-pruned")
 
 
 def test_generated_matches_the_walk_on_geometric_progressions():
@@ -534,16 +544,16 @@ def test_dense_factors_are_among_the_generated_candidates():
         k = stream.randbelow(7) + 1
         F = sample_random(k, 40, 61, i)
         dense = [n for n in range(2, sweep_cap(F.N) + 1) if divides_phi_dense(F, n)]
-        assert set(dense) <= set(_sweep_moduli(F, None, None)[0]), F.exponents
+        assert set(dense) <= set(_sweep_moduli(F, None)[0]), F.exponents
         assert dense == find_cyclotomic_factors(F)
 
 
-def _filtered_range(F, k, cap):
+def _filtered_range(F, k):
     """The spec of the walk: the n of the range that pass the first-peel filter
     at every p^v || n."""
     keys = (0,) + F.exponents
     return [
-        n for n in _candidate_moduli(F.N, k, cap)
+        n for n in _candidate_moduli(F.N, k)
         if all(_column_classes(keys, p, p**v) is not None for p, v in factorize(n))
     ]
 
@@ -557,15 +567,14 @@ def test_walk_is_the_filtered_range():
     for F in polys:
         keys = (0,) + F.exponents
         for k in (None, F.k):
-            for cap in (None, F.N // 3):
-                moduli, classes = _sweep_moduli(F, k, cap)
-                assert moduli == _filtered_range(F, k, cap), (F.exponents, k, cap)
-                for n in moduli:
-                    p, q, _ = peel(n)
-                    assert classes[q] == _column_classes(keys, p, q)
+            moduli, classes = _sweep_moduli(F, k)
+            assert moduli == _filtered_range(F, k), (F.exponents, k)
+            for n in moduli:
+                p, q, _ = peel(n)
+                assert classes[q] == _column_classes(keys, p, q)
     F = polys[0]
     for k in (None, F.k):
-        assert len(_sweep_moduli(F, k, None)[0]) * 20 < len(_candidate_moduli(F.N, k, None))
+        assert len(_sweep_moduli(F, k)[0]) * 20 < len(_candidate_moduli(F.N, k))
 
 
 def test_walk_matches_the_range_above_k_120():
@@ -613,17 +622,17 @@ def test_pruned_guard_prediction_bounds_the_walk():
             F = sample_random(k, N, 83, N % 97)
             # a full sweep of exponents near 10^15 is refused on its trial divisions
             for mode_k in (None, k) if N <= 10**9 else (k,):
-                moduli, classes = _sweep_moduli(F, mode_k, None)
+                moduli, classes = _sweep_moduli(F, mode_k)
                 passing = Counter(factorize(q)[0][0] for q in classes)
                 assert len(moduli) <= prod(1 + a for a in passing.values()), (k, N, mode_k)
     # the range no longer refuses a full sweep of x^(10^8) + 1, and the node
     # bound refuses j * 93,312,000 for j = 1..60 before the walk
     F = SparsePoly((10**8,), 10**8)
-    assert 512 in _sweep_moduli(F, None, None)[0]
-    assert 512 in _sweep_moduli(F, 1, None)[0]
+    assert 512 in _sweep_moduli(F, None)[0]
+    assert 512 in _sweep_moduli(F, 1)[0]
     F = SparsePoly(tuple(j * 93312000 for j in range(1, 61)), 60 * 93312000)
     with pytest.raises(ResourceLimitError, match="4.72e"):
-        _sweep_moduli(F, None, None)
+        _sweep_moduli(F, None)
 
 
 def _divisors_of_smooth_part(x, bound):
@@ -699,7 +708,7 @@ def test_sweep_matches_the_per_candidate_walk_on_shared_peels():
     for factors in SHARED_Q:
         F = _product(*factors)
         for mode in MODES:
-            assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode, None), (factors, mode)
+            assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode), (factors, mode)
             assert has_cyclotomic_factor(F, mode)
     # in one sweep the grouping of q = 3 and of q = 5 is reused by passing
     # moduli, and no candidate is one that the filter rejects at its peel power
@@ -707,7 +716,7 @@ def test_sweep_matches_the_per_candidate_walk_on_shared_peels():
     found = find_cyclotomic_factors(F)
     assert {3, 6, 12, 5, 10, 15, 30} <= set(found)
     vec = dict.fromkeys((0,) + F.exponents, 1)
-    moduli, classes = _sweep_moduli(F, None, None)
+    moduli, classes = _sweep_moduli(F, None)
     assert all(_column_classes(vec, *peel(n)[:2]) is not None for n in moduli)
     shared = Counter(peel(n)[1] for n in moduli)
     assert shared[3] >= 2 and shared[5] >= 2 and set(shared) <= set(classes)
@@ -720,7 +729,7 @@ def test_sweep_matches_the_per_candidate_walk_on_seeded_polynomials():
         N = k + stream.randbelow(3001 - k)
         F = sample_random(k, N, 83, i)
         for mode in MODES:
-            assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode, None), (k, N, i, mode)
+            assert find_cyclotomic_factors(F, mode) == _reference_factors(F, mode), (k, N, i, mode)
 
 
 @st.composite
@@ -740,8 +749,8 @@ def sparse_polys(draw):
 def test_pruned_full_and_walked_sweeps_agree(F):
     full = find_cyclotomic_factors(F, "full-sweep")
     pruned = find_cyclotomic_factors(F, "fs-pruned")
-    assert full == _reference_factors(F, "full-sweep", None)
-    assert pruned == _reference_factors(F, "fs-pruned", None)
+    assert full == _reference_factors(F, "full-sweep")
+    assert pruned == _reference_factors(F, "fs-pruned")
     assert set(pruned) <= set(full)
     assert has_cyclotomic_factor(F, "fs-pruned") == has_cyclotomic_factor(F, "full-sweep") == bool(full)
     event(f"factors: {bool(full)}")

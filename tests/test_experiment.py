@@ -145,6 +145,14 @@ def test_estimate_deterministic_and_worker_independent():
     assert e == f
 
 
+def test_more_workers_than_trials_split_into_one_chunk_per_trial():
+    # one chunk bound per worker would be 10^9 ints, gigabytes, before the empty spans drop
+    start = time.perf_counter()
+    report = estimate_phi_n(3, 10, 2, 10, 0, workers=10**9)
+    assert time.perf_counter() - start < 1.0
+    assert report == estimate_phi_n(3, 10, 2, 10, 0, workers=1)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     k=st.integers(1, 6),
