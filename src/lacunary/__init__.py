@@ -20,7 +20,6 @@ from .cyclotomic import (
     divides_phi_structural,
     find_cyclotomic_factors,
     has_cyclotomic_factor,
-    root_power_sum_is_zero,
     sweep_cap,
 )
 from .errors import (

@@ -1,13 +1,14 @@
 """Exact detection of cyclotomic divisors of sparse 0,1-polynomials.
 
 Two independent algorithms decide whether the n-th cyclotomic polynomial
-divides F.  The structural one decides everywhere; the dense one, which
-builds Phi_d for every divisor d of n, is kept only as the tests' and the
-benchmark's check of it:
+divides F.  The structural one decides everywhere; the dense one is kept
+only as the tests' and the benchmark's check of it:
 
 * the dense route counts the terms of F by residue mod n (F modulo
-  x^n - 1, the constant term on residue 0) and takes the exact integer
-  remainder modulo the n-th cyclotomic polynomial;
+  x^n - 1, the constant term on residue 0) and multiplies the counts
+  cyclically by prod_{p | n} (x^{n/p} - 1), which every other cyclotomic
+  factor of x^n - 1 divides: the n-th cyclotomic polynomial divides F
+  exactly when the product is zero mod x^n - 1;
 
 * the structural route never builds the cyclotomic polynomial.  It works
   with the sparse exponent multiset directly: peel n = q n' with q = p^e
@@ -93,60 +94,25 @@ from .sparsepoly import SparsePoly
 # --- dense algorithm ---------------------------------------------------------
 
 
-def _poly_mod(f: list[int], g: list[int]) -> list[int]:
-    """Remainder of f modulo monic g, exact integer arithmetic."""
-    f = list(f)
-    dg = len(g) - 1
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i]
-        if c:
-            f[i] = 0
-            for j in range(dg):
-                f[i - dg + j] -= c * g[j]
-    del f[dg:]
-    return f
-
-
-def _poly_divexact(f: list[int], g: list[int]) -> list[int]:
-    """Exact quotient f / g for monic g; remainder must vanish."""
-    f = list(f)
-    dg = len(g) - 1
-    dq = len(f) - 1 - dg
-    q = [0] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c = f[i + dg]
-        q[i] = c
-        if c:
-            for j in range(dg + 1):
-                f[i + j] -= c * g[j]
-    if any(f):
-        raise ArithmeticError("division was not exact")
-    return q
-
-
-@lru_cache(maxsize=512)  # recursion reaches only the divisors of n
-def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, by dividing x^n - 1 by every lower cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    f = [0] * (n + 1)
-    f[0], f[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            f = _poly_divexact(f, list(_cyclotomic_coeffs(d)))
-    return tuple(f)
-
-
 def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
-    """Dense check of the structural test: the residue counts of F mod x^n - 1,
-    constant term included, reduced modulo Phi_n."""
+    """Dense check of the structural test: the residue counts C of F mod
+    x^n - 1, constant term included, times the kernel K = prod_{p | n} (x^{n/p} - 1).
+
+    x^n - 1 = prod_{d | n} Phi_d is squarefree.  Every proper divisor d of n
+    divides some n/p, so Phi_d divides K, and Phi_n divides none of K's
+    factors.  So Phi_n | C exactly when x^n - 1 divides C K, that is when C K
+    reduced mod x^n - 1 is zero: one cyclic product per prime of n, O(n omega(n)).
+    """
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
     refuse_above(n, "residue counts")
     counts = [0] * n
     for e in (0,) + poly.exponents:
         counts[e % n] += 1
-    return not any(_poly_mod(counts, list(_cyclotomic_coeffs(n))))
+    for p, _ in factorize(n):
+        m = n // p
+        counts = [counts[i - m] - counts[i] for i in range(n)]
+    return not any(counts)
 
 
 # --- structural algorithm ----------------------------------------------------
@@ -227,24 +193,13 @@ def _vanishes(vec: dict[int, int], n: int) -> bool:
     return classes is not None and _classes_vanish(vec, p, nprime, classes)
 
 
-def root_power_sum_is_zero(exponents, n: int, coefficients=None) -> bool:
-    """Exact test of sum coeff_i * zeta_n^{e_i} == 0 for integer coefficients."""
+def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
+    """Structural test via prime-power peeling: whether the roots zeta_n^t,
+    t in {0, e_1, ..., e_k}, sum to zero.  No dense polynomial is built."""
     if n < 1:
         raise InvalidParametersError(f"modulus must be >= 1, got {n}")
-    if coefficients is None:  # one pass: this is the per-trial cost of estimate_phi_n
-        return _vanishes(Counter([e % n for e in exponents]), n)
-    exponents, coefficients = list(exponents), list(coefficients)
-    if len(coefficients) != len(exponents):
-        raise InvalidParametersError("need exactly one coefficient per exponent")
-    vec: dict[int, int] = {}
-    for e, c in zip(exponents, coefficients):
-        vec[e % n] = vec.get(e % n, 0) + c
-    return _vanishes({l: c for l, c in vec.items() if c}, n)
-
-
-def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
-    """Structural test via prime-power peeling; no dense polynomial is built."""
-    return root_power_sum_is_zero((0,) + poly.exponents, n)
+    # one pass: this is the per-trial cost of estimate_phi_n
+    return _vanishes(Counter([e % n for e in (0,) + poly.exponents]), n)
 
 
 # --- candidate sweep -----------------------------------------------------------
@@ -291,10 +246,9 @@ def _candidate_moduli(N: int, k: int | None) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-# _largest_modulus walks within these primes for every N the guard lets
-# through (N <= 5,145,091)
-_WALK_LIMIT = 1024
-_WALK_PRIMES = primes_up_to(_WALK_LIMIT)
+# _largest_modulus walks within these primes for every N up to 10^9, far
+# above the guard's 5,145,091
+_WALK_PRIMES = primes_up_to(1024)
 
 
 @lru_cache(maxsize=256)
@@ -306,10 +260,8 @@ def _largest_modulus(N: int) -> int:
     ... while phi * prod (p - 1) <= N: the j-th new prime is at least
     p_{i+j}, so no extension has more primes or a larger ratio.  The bound
     only falls as i grows, so a node stops at the first i it cannot beat.
-    The walk indexes the primes to _WALK_LIMIT, sieved once; a walk that
-    looks past them (a direct call far above the guard) sieves twice as far
-    and starts again.
     """
+    primes, best = _WALK_PRIMES, 1
 
     def walk(i: int, n: int, phi: int) -> None:
         nonlocal best
@@ -327,15 +279,8 @@ def _largest_modulus(N: int) -> int:
                 m, f = m * p, f * p
             i += 1
 
-    limit, primes = _WALK_LIMIT, _WALK_PRIMES
-    while True:
-        best = 1
-        try:
-            walk(0, 1, 1)
-            return best
-        except IndexError:
-            limit *= 2
-            primes = primes_up_to(limit)
+    walk(0, 1, 1)
+    return best
 
 
 def sweep_cap(N: int) -> int:

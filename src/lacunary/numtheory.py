@@ -59,19 +59,6 @@ def totient_sieve(m: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
-def squarefree_kernel(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n))
-
-
 # A sweep's working set is a few dozen moduli and their cofactors: 48 for a
 # 20-polynomial detect file, 35 for one full sweep at N = 3 * 10^4, k = 13.
 @lru_cache(maxsize=8192)

@@ -94,6 +94,18 @@ def cyclotomic_via_mobius(n: int) -> list[int]:
     return _divexact(num, den)
 
 
+def cyclotomic_divides(coeffs, n: int) -> bool:
+    """Whether the n-th cyclotomic polynomial divides sum coeffs[i] x^i, by
+    long division by the Moebius product (which is monic)."""
+    phi = cyclotomic_via_mobius(n)
+    f, d = list(coeffs), len(phi) - 1
+    for i in range(len(f) - 1, d - 1, -1):
+        c, f[i] = f[i], 0
+        for j in range(d):
+            f[i - d + j] -= c * phi[j]
+    return not any(f[:d])
+
+
 def root_sum_zero_numeric(exponents, n: int, coefficients=None) -> bool:
     """50-digit numeric check of sum coeff * zeta_n^e == 0."""
     if coefficients is None:

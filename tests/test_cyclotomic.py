@@ -19,60 +19,70 @@ from lacunary import (
     divides_phi_structural,
     find_cyclotomic_factors,
     has_cyclotomic_factor,
-    root_power_sum_is_zero,
     sample_random,
     sweep_cap,
 )
 from lacunary.cyclotomic import (
     _candidate_moduli,
     _column_classes,
-    _cyclotomic_coeffs,
     _largest_modulus,
-    _poly_divexact,
     _sweep_moduli,
+    _vanishes,
 )
 import lacunary.cyclotomic as cyclotomic_module
-from lacunary.numtheory import (
-    factorize, peel, primes_up_to, squarefree_kernel, totient,
-)
+from lacunary.numtheory import factorize, peel, primes_up_to, totient
 from lacunary.sparsepoly import _Stream
 
-from oracles import cyclotomic_via_mobius, phi_brute, root_sum_zero_numeric
+from oracles import cyclotomic_divides, cyclotomic_via_mobius, phi_brute, root_sum_zero_numeric
+
+
+def _roots_vanish(exponents, n):
+    """Whether the zeta_n^e, one for each listed e, sum to zero."""
+    return _vanishes(Counter(e % n for e in exponents), n)
 
 
 # --- cyclotomic polynomials ----------------------------------------------------
+# No route builds one: the Moebius oracle supplies them to the tests.
 
 
 def test_cyclotomic_small():
-    assert _cyclotomic_coeffs(1) == (-1, 1)
-    assert _cyclotomic_coeffs(2) == (1, 1)
-    assert _cyclotomic_coeffs(10) == (1, -1, 1, -1, 1)
+    assert cyclotomic_via_mobius(1) == [-1, 1]
+    assert cyclotomic_via_mobius(2) == [1, 1]
+    assert cyclotomic_via_mobius(10) == [1, -1, 1, -1, 1]
 
 
 def test_cyclotomic_105_has_minus_two():
-    assert min(_cyclotomic_coeffs(105)) == -2
+    assert min(cyclotomic_via_mobius(105)) == -2
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 36, 60, 105, 128, 210])
 def test_cyclotomic_matches_moebius_oracle(n):
-    assert list(_cyclotomic_coeffs(n)) == cyclotomic_via_mobius(n)
+    # the dense route never builds Phi_n: its verdict is the oracle's
+    # division of F mod x^n - 1 by Phi_n
+    polys = [sample_random(k, 3 * n + 4, 29, i) for k in (1, 2, 5) for i in range(20)]
+    # (x^n - 1) / (x^j - 1) for each proper divisor j: Phi_n divides each
+    polys += [SparsePoly(tuple(range(j, n, j)), n) for j in range(1, n) if n % j == 0]
+    hits = 0
+    for F in polys:
+        counts = [0] * n
+        for e in (0,) + F.exponents:
+            counts[e % n] += 1
+        divides = cyclotomic_divides(counts, n)
+        hits += divides
+        assert divides_phi_dense(F, n) == divides, (F.exponents, n)
+    assert hits >= sum(n % j == 0 for j in range(1, n))
 
 
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 80):
-        assert len(_cyclotomic_coeffs(n)) - 1 == phi_brute(n)
+        assert len(cyclotomic_via_mobius(n)) - 1 == phi_brute(n)
 
 
 def test_cyclotomic_validation():
     for n in (0, -3):
-        with pytest.raises(InvalidParametersError):
-            divides_phi_dense(SparsePoly((1,), 1), n)
-
-
-def test_inexact_division_raises():
-    assert _poly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]  # x^2 - 1 = (x - 1)(x + 1)
-    with pytest.raises(ArithmeticError):
-        _poly_divexact([1, 0, 1], [-1, 1])  # x^2 + 1 has remainder 2
+        for route in (divides_phi_dense, divides_phi_structural):
+            with pytest.raises(InvalidParametersError):
+                route(SparsePoly((1,), 1), n)
 
 
 # --- divisibility --------------------------------------------------------------
@@ -153,15 +163,18 @@ def test_multiplicities_in_residue_classes():
 
 
 def test_deep_recursion_modulus():
-    # n = 5040 = 2^4 3^2 5 7 exercises four peel levels; half-turn shifts
-    # 1 + x^{n/2} are divisible for every even n
-    n = 5040
-    F = SparsePoly((n // 2,), n)
-    assert divides_phi_structural(F, n)
-    assert divides_phi_dense(F, n)
-    G = SparsePoly((n // 2 + 1,), n)
-    assert not divides_phi_structural(G, n)
-    assert not divides_phi_dense(G, n)
+    # n = 5040 = 2^4 3^2 5 7 exercises four peel levels, 30030 six; half-turn
+    # shifts 1 + x^{n/2} are divisible for every even n.  The dense route
+    # builds no Phi_n, so it costs O(n omega(n)).
+    for n in (5040, 30030, 10**5):
+        F = SparsePoly((n // 2,), n)
+        G = SparsePoly((n // 2 + 1,), n)
+        t = time.perf_counter()
+        assert divides_phi_dense(F, n)
+        assert not divides_phi_dense(G, n)
+        assert time.perf_counter() - t < 1.0, n
+        assert divides_phi_structural(F, n)
+        assert not divides_phi_structural(G, n)
 
 
 def test_peel_takes_the_largest_prime_with_its_full_power():
@@ -174,10 +187,10 @@ def test_peel_takes_the_largest_prime_with_its_full_power():
 def test_a_large_prime_modulus_is_decided_without_a_fold():
     # n = 198 * 526,117: folding the columns of the large prime into p - 1
     # others once cost 0.56 s and 148 MB on this one candidate
-    exponents = (0,) + sample_random(13, 10**8, 1, 0).exponents
+    F = sample_random(13, 10**8, 1, 0)
     tracemalloc.start()
     try:
-        assert not root_power_sum_is_zero(exponents, 104171166)
+        assert not divides_phi_structural(F, 104171166)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,13 +201,11 @@ def test_conway_jones_split_examples():
     # the terms of F in one residue class mod b (the constant term as
     # exponent 0) are a sum of n-th roots of unity in their own right:
     # 1 + x + x^2 + x^3 at n = 4 splits mod 2 into two vanishing classes
-    assert root_power_sum_is_zero((0, 2), 4) and root_power_sum_is_zero((1, 3), 4)
+    assert _roots_vanish((0, 2), 4) and _roots_vanish((1, 3), 4)
     # 1 + x^5 at n = 10 mod 5: class 0 vanishes, the other classes are empty
-    assert root_power_sum_is_zero((0, 5), 10)
+    assert _roots_vanish((0, 5), 10)
     # b = 1 is no split: 1 + x + x^3 + x^4 at n = 3 is one class, 2 + 2 zeta_3
-    assert not root_power_sum_is_zero((0, 1, 3, 4), 3)
-    with pytest.raises(InvalidParametersError):
-        root_power_sum_is_zero((0, 1), 0)
+    assert not _roots_vanish((0, 1, 3, 4), 3)
 
 
 def test_conway_jones_soundness_on_divisible_corpus():
@@ -207,12 +218,12 @@ def test_conway_jones_soundness_on_divisible_corpus():
         F = _lift_progressions(n, p, [0, stream.randbelow(n), stream.randbelow(n)], 50 * n, stream)
         if not divides_phi_structural(F, n):
             continue
-        b = n // squarefree_kernel(n)
+        b = n // prod(p for p, _ in factorize(n))
         parts: dict[int, list[int]] = {}
         for e in (0,) + F.exponents:
             parts.setdefault(e % b, []).append(e)
         for part in parts.values():
-            assert root_power_sum_is_zero(part, n), (n, b, part)
+            assert _roots_vanish(part, n), (n, b, part)
 
 
 def test_singleton_parts_never_vanish():
@@ -220,7 +231,7 @@ def test_singleton_parts_never_vanish():
     for _ in range(100):
         n = stream.randbelow(80) + 2
         e = stream.randbelow(n)
-        assert not root_power_sum_is_zero((e,), n)
+        assert not _roots_vanish((e,), n)
 
 
 def test_root_power_sum_matches_numeric():
@@ -229,20 +240,16 @@ def test_root_power_sum_matches_numeric():
         n = stream.randbelow(48) + 2
         count = stream.randbelow(6) + 1
         exps = [stream.randbelow(n) for _ in range(count)]
-        assert root_power_sum_is_zero(exps, n) == root_sum_zero_numeric(exps, n)
+        assert _roots_vanish(exps, n) == root_sum_zero_numeric(exps, n)
 
 
 def test_root_power_sum_zero_coefficients():
-    assert root_power_sum_is_zero([1, 2], 3, [0, 0])
-    assert root_power_sum_is_zero([0, 1, 2, 5], 3, [1, 1, 0, 1])
-    assert not root_power_sum_is_zero([0, 1, 2], 3, [1, 1, 0])
-
-
-def test_root_power_sum_length_mismatch_raises():
-    with pytest.raises(InvalidParametersError):
-        root_power_sum_is_zero([0, 1], 2, [1, 1, 5])
-    with pytest.raises(InvalidParametersError):
-        root_power_sum_is_zero([0, 1, 2], 3, [1, 1])
+    # the recursion's sums carry signed, non-zero coefficients on keys that
+    # need not be reduced mod n: congruent keys merge inside a column
+    assert _vanishes({}, 3)
+    assert _vanishes({1: 2, 4: -2}, 3)
+    assert _vanishes({0: 1, 1: 1, 5: 1}, 3)
+    assert not _vanishes({0: 1, 1: 1}, 3)
 
 
 # --- sweeps ----------------------------------------------------------------------
@@ -266,19 +273,20 @@ def test_sweep_cap_past_the_first_sieve():
 
 @pytest.mark.parametrize("N", [716, 6804, 12094, 10**9])
 def test_largest_modulus_walks_within_the_first_sieve(N, monkeypatch):
-    # each looks past the primes to 64, 10^9 past those to 512
+    # the walk indexes only the primes to 1,024, sieved once: one that looked
+    # past them would raise IndexError, and none sieves again
     sieves = []
     monkeypatch.setattr(cyclotomic_module, "primes_up_to", lambda m: sieves.append(m) or primes_up_to(m))
     _largest_modulus.__wrapped__(N)
     assert sieves == []
 
 
-def test_largest_modulus_sieves_further_when_it_must(monkeypatch):
-    # from primes to 64, the walk restarts until its sieve is long enough
-    monkeypatch.setattr(cyclotomic_module, "_WALK_LIMIT", 64)
-    monkeypatch.setattr(cyclotomic_module, "_WALK_PRIMES", primes_up_to(64))
-    assert _largest_modulus.__wrapped__(12094) == 60060
-    assert _largest_modulus.__wrapped__(10**9) == 6023507490
+def test_sweep_cap_at_the_edge_of_the_guard():
+    # 1.9436 N rounds up to 9,999,999 moduli at N = 5,145,091 and to
+    # 10,000,001 one degree later, above the guard's 10^7
+    assert sweep_cap(5_145_091) == 29_099_070
+    with pytest.raises(ResourceLimitError):
+        sweep_cap(5_145_092)
 
 
 def test_sweep_cap_against_brute_force():
@@ -309,7 +317,7 @@ def test_pruned_candidates_are_the_admissible_kernels(phi_to_60):
         for N in (k, 30, 60):
             expect = tuple(
                 n for n, f in sorted(phi_to_60.items())
-                if f <= N and squarefree_kernel(n) in members
+                if f <= N and prod(p for p, _ in factorize(n)) in members
             )
             assert _candidate_moduli(N, k) == expect, (k, N)
     # k = 300 admits more kernels than admissible_kernels will list; the walk
@@ -476,17 +484,16 @@ MODES = ("full-sweep", "fs-pruned")
 
 def _reference_factors(F, mode, cap=None):
     """The walk the sweep replaces: every modulus of the range decided on its
-    own by root_power_sum_is_zero, with no grouping shared between moduli.
+    own by divides_phi_structural, with no grouping shared between moduli.
 
     Under a cap it walks only the range of degree min(N, cap) and cuts that
     at the cap: n <= cap gives phi(n) <= cap, so no modulus is lost.
     """
-    terms = (0,) + F.exponents
     k = F.k if mode == "fs-pruned" else None
     top = F.N if cap is None else min(F.N, cap)
     return [
         n for n in _candidate_moduli(top, k)
-        if (cap is None or n <= cap) and root_power_sum_is_zero(terms, n)
+        if (cap is None or n <= cap) and divides_phi_structural(F, n)
     ]
 
 
@@ -607,7 +614,7 @@ def test_full_sweep_near_the_guard_against_the_closed_form():
     expect = [n for n in range(2, M + 1) if M % n == 0 and a % n != 0]
     assert find_cyclotomic_factors(F) == expect
     members = set(admissible_kernels(3))
-    pruned = [n for n in expect if squarefree_kernel(n) in members]
+    pruned = [n for n in expect if prod(p for p, _ in factorize(n)) in members]
     assert find_cyclotomic_factors(F, "fs-pruned") == pruned == [128, 256]
     assert time.perf_counter() - t < 3.0
     assert _candidate_moduli.cache_info().currsize == 0
@@ -657,7 +664,7 @@ def test_pruned_factors_at_large_degree_against_the_closed_form():
             F = SparsePoly(tuple(a * i for i in range(1, k + 1)), k * a)
             expect = [
                 n for n in _divisors_of_smooth_part((k + 1) * a, k + 1)
-                if n > 1 and a % n and squarefree_kernel(n) in members
+                if n > 1 and a % n and prod(p for p, _ in factorize(n)) in members
             ]
             assert expect and find_cyclotomic_factors(F, "fs-pruned") == expect, (k, a)
 

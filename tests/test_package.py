@@ -33,7 +33,8 @@ def test_no_private_names_imported_across_modules():
 
 def test_no_library_path_calls_the_dense_route():
     # Phi_n | F is decided by the structural test; divides_phi_dense, which
-    # builds Phi_n whatever n is, stays only as the tests' independent check
+    # lists n residue counts whatever F is, stays only as the tests'
+    # independent check
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -89,8 +90,6 @@ def _names_used(node) -> set[str]:
 # reached only by the tests, each for a reason of its own
 TEST_ONLY = {
     "multinomial_weight": "the multinomial law: acceptance 8's oracle, the N = infinity single-modulus law",
-    "squarefree_kernel": "a test oracle for the pruned sweep range",
-    "omega": "a test oracle",
     "atom_probability": "the exact count law, the oracle of a single-modulus event",
     "format_poly": "the text-format writer of the parse round trip",
     "_candidate_moduli": "the whole sweep range, the reference the generated candidates are checked against",
@@ -138,13 +137,6 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-# defaulted parameters that library and perfbench code never pass
-DEFAULT_ONLY = {
-    ("root_power_sum_is_zero", "coefficients"):
-        "the integer-coefficient sums that the vanishing-sum tests check",
-}
-
-
 def _wrapped(node) -> str | None:
     """f for perfbench's timing wrapper ph.fn(name, f), else None."""
     if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fn" and len(node.args) == 2:
@@ -183,7 +175,7 @@ def test_every_defaulted_parameter_is_passed():
                     if fn == func and _passes(node, name, position)
                 }
     assert len(params) > 10
-    assert sorted(set(params) - passed) == sorted(DEFAULT_ONLY)
+    assert sorted(set(params) - passed) == []
 
 
 def _cache_decorators(path: Path):
@@ -207,7 +199,7 @@ def test_every_cache_is_bounded():
     # an unbounded cache keeps every modulus a sweep touches for the life of
     # the process
     caches = [hit for path in sorted(SRC.glob("*.py")) for hit in _cache_decorators(path)]
-    assert {"cyclotomic.py:_cyclotomic_coeffs", "lattice.py:build_basis"} <= {name for name, _ in caches}
+    assert {"numtheory.py:peel", "lattice.py:build_basis"} <= {name for name, _ in caches}
     assert [name for name, dec in caches if not _has_integer_maxsize(dec)] == []
 
 
