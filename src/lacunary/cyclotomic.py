@@ -12,18 +12,18 @@ only as the tests' and the benchmark's check of it:
 
 * the structural route never builds the cyclotomic polynomial.  It works
   with the sparse exponent multiset directly: peel n = q n' with q = p^e
-  the full power of the largest prime p of n (numtheory.peel).  With
-  u n' + v q = 1, zeta_q = zeta_n^{u n'} and zeta_{n'} = zeta_n^{v q} are
-  primitive and zeta_n^l = zeta_q^{l mod q} zeta_{n'}^{l mod n'}, so the
-  sum is sum_{a < q} zeta_q^a X_a with columns X_a in Z[zeta_{n'}].  The
+  the full power of the largest prime p of n (numtheory.peel).  By the
+  Chinese remainder theorem (the cell map in _column_classes) the sum is
+  sum_{a < q} zeta_q^a X_a with columns X_a in Z[zeta_{n'}].  The
   q-th cyclotomic polynomial, sum_{t < p} x^{t q/p}, stays irreducible over
   Q(zeta_{n'}), so the sum vanishes exactly when, for each r < q/p, the p
   columns X_{r + t q/p} are equal (Lam-Leung, J. Algebra 224, 2000): each
   vanishes if one is zero, else each minus the smallest vanishes, a sum at
-  modulus n' decided by recursion.  The base case n = 1 asks whether an
-  integer sum vanishes.  A full class has p terms or more, so each level
-  passes on at most twice its terms, whatever p, which is what makes
-  whole-sweep experiments affordable.  The first-peel filter (a one-term
+  modulus n' decided by recursion.  Each class is first checked by its
+  column weights (see Weights below), which decide it at n' = 1.  A full
+  class has p terms or more, so each level passes on at most twice its
+  terms, whatever p, which is what makes whole-sweep experiments
+  affordable.  The first-peel filter (a one-term
   column in a class short of a column) and the grouping into columns and
   classes depend on q alone, so a sweep runs them once per distinct q.
 
@@ -43,8 +43,20 @@ too: if the filter rejects q = p^v, the n-th cyclotomic polynomial does not
 divide F.  The filter is monotone in v: a one-term column {l} in a class
 short of a column at p^v is alone again at p^{v+1}, in a class of one
 column.  So the powers of p that pass form a prefix p, p^2, ..., p^{a_p},
-checked once per sweep.  Above k + 1 no class holds p columns, so there p
-passes only if it divides some e_j.
+checked once per sweep.  The classes at p^{v+1} are the columns at p^v, so
+a passing level with a one-key column is the last: that key is alone in
+its class one level up, and the filter is not run there.  Above k + 1 no
+class holds p columns, so there p passes only if it divides some e_j.
+
+Weights.  The map zeta_{n'} -> 1 is a ring map from Z[zeta_{n'}] onto
+Z / Phi_{n'}(1), and Phi_{n'}(1) is 0 at n' = 1, r at n' = r^w and 1 at
+every other n'.  A column's image is its weight, the sum of its
+coefficients, which in a sweep is its length.  Equal columns have equal
+images and a zero column has image 0, so a full class needs its p weights
+to agree mod Phi_{n'}(1), and a short class needs each weight to be 0 mod
+it.  At n' = 1 a column is its weight, so that decides the class; at a
+prime power n' it can only reject; at a composite n' it says nothing.  It
+builds no column, and in a sweep it rejects most candidates.
 
 One event.  Some cyclotomic polynomial of the full range divides F exactly
 when one of the pruned range does, so the any-factor event has one
@@ -84,6 +96,7 @@ the primes p with a_p passing powers, in either mode.
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from math import inf, isqrt, prod
 
 from .errors import InvalidParametersError, refuse_above
@@ -121,6 +134,14 @@ def divides_phi_dense(poly: SparsePoly, n: int) -> bool:
 def _column_classes(keys, p: int, q: int) -> dict[int, list[list[int]]] | None:
     """The keys in columns by l mod q, and the columns in classes by l mod q/p.
 
+    For n = q n' with q = p^e prime to n', take u n' + v q = 1: then
+    zeta_q = zeta_n^{u n'} and zeta_{n'} = zeta_n^{v q} are primitive and
+    zeta_n^l = zeta_q^{l mod q} zeta_{n'}^{l mod n'}.  So key l sits in
+    column l mod q, and in cell l mod n' of that column's image in
+    Z[zeta_{n'}].  Column a is in class a mod q/p with the p columns
+    a + t q/p, t < p, which must be equal for the sum to vanish (Lam-Leung,
+    see the module docstring).  The classes at q p are the columns at q.
+
     None when the first-peel filter rejects: a one-term column is not zero,
     so in a class short of a column (where every column must vanish) the sum
     cannot vanish; this rejects almost every (random polynomial, large
@@ -130,26 +151,41 @@ def _column_classes(keys, p: int, q: int) -> dict[int, list[list[int]]] | None:
     cols: dict[int, list[int]] = {}
     for l in keys:
         cols.setdefault(l % q, []).append(l)
-    width: dict[int, int] = {}
-    for a in cols:
-        width[a % step] = width.get(a % step, 0) + 1
     classes: dict[int, list[list[int]]] = {}
     for a, col in cols.items():
-        r = a % step
-        if len(col) == 1 and width[r] < p:
+        classes.setdefault(a % step, []).append(col)
+    for group in classes.values():
+        if len(group) < p and 1 in map(len, group):
             return None
-        classes.setdefault(r, []).append(col)
     return classes
 
 
 def _classes_vanish(
-    vec: dict[int, int], p: int, nprime: int, classes: dict[int, list[list[int]]]
+    vec: dict[int, int], weigh, p: int, nprime: int, classes: dict[int, list[list[int]]]
 ) -> bool:
     """Whether the sum vanishes, given its _column_classes at n = q n'.
 
     Each column is reduced to Z[zeta_{n'}] by l mod n'; a class vanishes
     when its p columns are equal, or, short of a column, when each is zero.
+    First, weigh(keys), the sum of a column's coefficients, must agree
+    across a class mod m = Phi_{n'}(1), and be 0 mod m in a class short of
+    a column (see "Weights" in the module docstring); this builds no
+    column, and at n' = 1 it is the whole test.
     """
+    if nprime == 1:
+        m = 0
+    else:
+        r, rw, _ = peel(nprime)
+        m = r if rw == nprime else 1
+    if m != 1:  # mod 1 every weight agrees
+        for group in classes.values():
+            weights = {w % m if m else w for w in map(weigh, group)}
+            if len(group) < p:
+                weights.add(0)  # an absent column weighs 0
+            if len(weights) > 1:
+                return False
+        if not m:
+            return True  # in Z a column is its weight
     for group in classes.values():
         cols = []
         for keys in group:
@@ -190,7 +226,9 @@ def _vanishes(vec: dict[int, int], n: int) -> bool:
         return sum(vec.values()) == 0
     p, q, nprime = peel(n)
     classes = _column_classes(vec, p, q)
-    return classes is not None and _classes_vanish(vec, p, nprime, classes)
+    if classes is None:
+        return False
+    return _classes_vanish(vec, lambda keys: sum(map(vec.__getitem__, keys)), p, nprime, classes)
 
 
 def divides_phi_structural(poly: SparsePoly, n: int) -> bool:
@@ -316,14 +354,16 @@ def _sweep_moduli(poly: SparsePoly, k: int | None) -> tuple[list[int], dict[int,
     powers = []  # (p, its passing powers p, p^2, ...)
     for p in primes:
         q, qs = p, []
-        # the filter rejects by p^(m+2), m the most times p divides an exponent:
-        # column 0 then holds only the constant term, alone in its class
+        # the filter runs at most up to p^(m+1), m the most times p divides an
+        # exponent: column 0 there holds only the constant term, a lone key
         while q - q // p <= N:
             classes = _column_classes(keys, p, q)
             if classes is None:
                 break  # a one-term column stays alone in its class at every higher power
             classes_by_q[q] = classes
             qs.append(q)
+            if 1 in map(len, chain.from_iterable(classes.values())):
+                break  # that key is alone in its class at q p, whose classes are these columns
             q *= p
         if qs:
             powers.append((p, qs))
@@ -363,7 +403,7 @@ def _factor_moduli(poly: SparsePoly, mode: str, cap: int | None):
         if cap is not None and n > cap:
             return  # the moduli ascend
         p, q, nprime = peel(n)
-        if _classes_vanish(vec, p, nprime, classes_by_q[q]):
+        if _classes_vanish(vec, len, p, nprime, classes_by_q[q]):  # a column weighs its length
             yield n
 
 

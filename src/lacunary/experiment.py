@@ -82,7 +82,10 @@ def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
 
     Each event's trials split into `workers` chunks, or one per trial if
     there are fewer trials; all chunks of all events share one pool of at
-    most nproc processes.
+    most nproc processes.  The pool takes them in batches of
+    len(jobs) // (4 * processes), at least one: the stdlib's own rule
+    rounded down, so a few chunks of unequal cost go out one at a time
+    while many cheap ones still go out in large batches.
     """
     chunks = min(workers, trials)
     bounds = [trials * i // chunks for i in range(chunks + 1)]
@@ -93,8 +96,9 @@ def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
     else:
         try:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(len(jobs), os.cpu_count() or 1)) as pool:
-                hits = pool.map(_range_hits, jobs)
+            procs = min(len(jobs), os.cpu_count() or 1)
+            with ctx.Pool(procs) as pool:
+                hits = pool.map(_range_hits, jobs, chunksize=max(1, len(jobs) // (4 * procs)))
         except (OSError, ValueError):
             hits = [_range_hits(job) for job in jobs]
     per = len(spans)

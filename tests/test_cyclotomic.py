@@ -252,6 +252,48 @@ def test_root_power_sum_zero_coefficients():
     assert not _vanishes({0: 1, 1: 1}, 3)
 
 
+# --- the weight check: a column's image under zeta_{n'} -> 1, mod Phi_{n'}(1) ---
+
+
+def _check_signed(vec, n, expected):
+    assert _vanishes(vec, n) is expected, (vec, n)
+    assert root_sum_zero_numeric(list(vec), n, list(vec.values())) is expected, (vec, n)
+
+
+def test_weights_are_compared_mod_one_at_a_composite_cofactor():
+    # n = 30 peels to q = 5, n' = 6.  The columns mod 5 reduce mod 6 to {0}
+    # and {1, 5}, of weights 1 and 2, and zeta_6 + zeta_6^5 = 1, so the
+    # class vanishes: Phi_6(1) = 1, and a weight modulus of 2 or 3, a prime
+    # of n', would drop the factor
+    F = SparsePoly((1, 11, 12, 18, 24), 24)
+    for mode in ("full-sweep", "fs-pruned"):
+        assert find_cyclotomic_factors(F, mode) == [30]
+    assert [n for n in range(2, 200) if divides_phi_dense(F, n)] == [30]
+
+
+def test_signed_full_class_with_a_column_that_cancels():
+    # n = 3: n' = 1, where the weight check is the whole test
+    _check_signed({0: 1, 3: -1, 1: 2, 4: -2, 2: 1, 5: -1}, 3, True)
+    _check_signed({0: 1, 3: -1, 1: 1, 2: 1}, 3, False)  # weights 0, 1, 1
+    _check_signed({0: 1, 3: -1, 1: 1, 4: 1, 2: 1, 5: 1}, 3, False)  # weights 0, 2, 2
+    # n = 6: n' = 2, weights mod Phi_2(1) = 2; 1 + zeta_2 = 0 weighs 2
+    _check_signed({0: 1, 3: 1, 1: 1, 4: 1, 2: 1, 5: 1}, 6, True)
+    _check_signed({0: 1, 6: -1, 1: 1, 2: 1}, 6, False)  # weights 0, 1, 1
+    # n = 12: n' = 4, weights mod Phi_4(1) = 2; each column is 1 + zeta_4^2 = 0
+    _check_signed({0: 1, 6: 1, 4: 1, 10: 1, 8: 1, 2: 1}, 12, True)
+
+
+def test_weights_are_only_necessary_at_a_prime_power_cofactor():
+    # n = 6 peels to q = 3, n' = 2: every weight below is 2, 0 mod 2, yet
+    # the columns are 2 and -2 (and 2): a full class of unequal columns,
+    # and a short class of non-zero ones
+    _check_signed({0: 2, 1: 2, 2: 2}, 6, False)
+    _check_signed({0: 2, 1: 2}, 6, False)
+    assert not _roots_vanish((0, 6, 1, 7), 6)
+    # (1 + x)(1 + x^6), with 1 + x^6 = Phi_4 Phi_12, has no factor Phi_6
+    assert find_cyclotomic_factors(SparsePoly((1, 6, 7), 7)) == [2, 4, 12]
+
+
 # --- sweeps ----------------------------------------------------------------------
 
 

@@ -265,18 +265,24 @@ def test_pool_has_at_most_nproc_processes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize):
+            chunksizes.append(chunksize)
             return [fn(job) for job in jobs]
 
     class FakeContext:
         Pool = FakePool
 
+    chunksizes = []
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = decay_series([3, 4], 40, 300, seed=5, workers=1)
     pooled = decay_series([3, 4], 40, 300, seed=5, workers=64)
     assert sizes == [3]  # one pool for the whole series, capped at nproc
     assert pooled == serial
+    # 2 * 64 jobs go out in chunks of 128 // (4 * 3), 4 jobs one at a time
+    assert decay_series([3, 4], 40, 300, seed=5, workers=2) == serial
+    assert sizes == [3, 3]
+    assert chunksizes == [10, 1]
 
 
 def test_decay_validation():
