@@ -31,7 +31,6 @@ from .errors import (
 from .experiment import (
     EstimateReport,
     decay_series,
-    estimate_any_cyclotomic,
     estimate_phi_n,
     exhaustive_enumeration,
     reports_to_csv,

@@ -16,7 +16,6 @@ from .cyclotomic import SWEEP_MODES, find_cyclotomic_factors
 from .errors import InvalidParametersError, LacunaryError, PolyParseError
 from .experiment import (
     decay_series,
-    estimate_any_cyclotomic,
     estimate_phi_n,
     exhaustive_enumeration,
     report_to_json,
@@ -153,15 +152,15 @@ def _run_estimate(args, out) -> None:
     if args.n is not None:
         if args.mode is not None:
             raise InvalidParametersError("--mode names the any-factor event's range, not with --n")
-        report = estimate_phi_n(
+        reports = [estimate_phi_n(
             args.k, args.N, args.n, args.trials, args.seed, workers=args.workers
-        )
+        )]
     else:
-        report = estimate_any_cyclotomic(
-            args.k, args.N, args.trials, args.seed,
+        reports = decay_series(
+            [args.k], args.N, args.trials, args.seed,
             mode=args.mode or "full-sweep", workers=args.workers,
         )
-    _emit_reports(args, [report], out)
+    _emit_reports(args, reports, out)
 
 
 def _run_decay(args, out) -> None:

@@ -105,11 +105,28 @@ def _run_chunked(events: list[tuple], trials: int, workers: int) -> list[int]:
     return [sum(hits[i : i + per]) for i in range(0, len(hits), per)]
 
 
+def _check_event(k: int, N: int, n: int | None, mode: str | None) -> None:
+    """Refuse an event outside 1 <= k <= N, or one that states n and a mode wrongly.
+
+    n=None is the any-factor event, labelled by a sweep mode; a given n is
+    the single-modulus event Phi_n | F, which takes no sweep mode.
+    """
+    if not 1 <= k <= N:
+        raise InvalidParametersError(f"need 1 <= k <= N, got k={k}, N={N}")
+    if n is None:
+        if mode not in SWEEP_MODES:
+            raise InvalidParametersError(f"unknown sweep mode {mode!r}")
+    elif n < 1 or mode is not None:
+        raise InvalidParametersError(f"need n >= 1 and no sweep mode, got n={n}, mode={mode}")
+
+
 def _estimates(events: list[tuple], trials: int, seed: int, workers: int) -> list[EstimateReport]:
     """One Monte Carlo report per event (k, N, n, mode), mode its label."""
-    for k, _, n, mode in events:
-        if n is None and mode not in SWEEP_MODES:
-            raise InvalidParametersError(f"unknown sweep mode {mode!r}")
+    if trials < 1 or workers < 1:
+        raise InvalidParametersError(f"need trials, workers >= 1, got {trials=}, {workers=}")
+    for event in events:
+        _check_event(*event)
+    for k, *_ in events:
         refuse_above(k, "exponents per sampled polynomial")  # each holds k exponents
     hits = _run_chunked([(k, N, n, seed) for k, N, n, _ in events], trials, workers)
     reports = []
@@ -127,23 +144,7 @@ def estimate_phi_n(
     k: int, N: int, n: int, trials: int, seed: int, workers: int = 1
 ) -> EstimateReport:
     """Monte Carlo estimate of P(the n-th cyclotomic polynomial divides F)."""
-    if not 1 <= k <= N or trials < 1 or n < 1 or workers < 1:
-        raise InvalidParametersError("need 1 <= k <= N, n >= 1, trials >= 1, workers >= 1")
     return _estimates([(k, N, n, None)], trials, seed, workers)[0]
-
-
-def estimate_any_cyclotomic(
-    k: int,
-    N: int,
-    trials: int,
-    seed: int,
-    mode: str = "full-sweep",
-    workers: int = 1,
-) -> EstimateReport:
-    """Monte Carlo estimate of P(F has any cyclotomic factor), labelled by a sweep mode."""
-    if not 1 <= k <= N or trials < 1 or workers < 1:
-        raise InvalidParametersError("need 1 <= k <= N, trials >= 1, workers >= 1")
-    return _estimates([(k, N, None, mode)], trials, seed, workers)[0]
 
 
 def exhaustive_enumeration(
@@ -154,14 +155,9 @@ def exhaustive_enumeration(
     n selects the single-modulus event, which takes no sweep mode;
     n=None means 'any cyclotomic factor', labelled by mode (default 'full-sweep').
     """
-    if not 1 <= k <= N:
-        raise InvalidParametersError(f"need 1 <= k <= N, got k={k}, N={N}")
     if n is None:
         mode = mode or "full-sweep"
-        if mode not in SWEEP_MODES:
-            raise InvalidParametersError(f"unknown sweep mode {mode!r}")
-    elif n < 1 or mode is not None:
-        raise InvalidParametersError(f"need n >= 1 and no sweep mode, got n={n}, mode={mode}")
+    _check_event(k, N, n, mode)
     # C(N, i) grows with i up to N / 2, so C(N, min(k, N - k)) is built one
     # factor at a time and refused as soon as a partial count passes the guard
     total = 1
@@ -187,13 +183,11 @@ def decay_series(
     """One any-factor estimate per k, shared degree cap and trial budget,
     labelled by a sweep mode.
 
-    The trials of every k run in one pool.
+    The trials of every k run in one pool; `estimate` without --n runs [k].
     """
     ks = list(k_list)
-    if not ks or any(not 1 <= k <= N for k in ks) or trials < 1 or workers < 1:
-        raise InvalidParametersError(
-            "need a non-empty k list with every 1 <= k <= N, trials >= 1, workers >= 1"
-        )
+    if not ks:
+        raise InvalidParametersError("need a non-empty k list")
     return _estimates([(k, N, None, mode) for k in ks], trials, seed, workers)
 
 

@@ -361,7 +361,9 @@ def _independent_sum(c0: int, parts, y, cap: int, depth: int, geometry) -> dict:
     for part in parts:
         if not counts:
             break
-        counts = _convolve(counts, _norm_counts(part, y, cap - min(counts), depth, geometry), cap)
+        more = _norm_counts(part, y, cap - min(counts), depth, geometry)
+        refuse_above(len(counts) * len(more), "norm-count pairs")
+        counts = _convolve(counts, more, cap)
     return counts
 
 
@@ -371,7 +373,7 @@ def enumerate_ball(basis: RelationBasis, query: BallQuery, anchor) -> int:
     Counts integer combinations t of the basis vectors with
     |anchor + sum t_i b_i - center| <= radius.  Boundary points are
     included.  Refuses (resource-limit) when the predicted enumeration
-    workload exceeds 10^7 nodes.
+    nodes, or the norm-count pairs of one convolution, exceed 10^7.
     """
     if query.n != basis.n:
         raise InvalidParametersError("query modulus does not match basis")

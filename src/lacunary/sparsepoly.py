@@ -180,11 +180,8 @@ def residue_class_size(j: int, n: int, N: int) -> int:
     return (N - j) // n + 1 if j <= N else 0
 
 
-def atom_probability(c: Sequence[int], k: int, n: int, N: int) -> Fraction:
-    """Exact probability that a uniform k-subset of [1, N] realizes counts c.
-
-    c counts the k exponents by residue mod n, so sum(c) = k.
-    """
+def _counts(c: Sequence[int], k: int, n: int) -> tuple[int, ...]:
+    """c as a tuple, checked to count k items in n classes."""
     c = tuple(c)
     if len(c) != n:
         raise InvalidParametersError(f"count vector must have length n={n}")
@@ -192,6 +189,15 @@ def atom_probability(c: Sequence[int], k: int, n: int, N: int) -> Fraction:
         raise InvalidParametersError("counts must be non-negative")
     if sum(c) != k:
         raise InvalidParametersError(f"counts must sum to k={k}")
+    return c
+
+
+def atom_probability(c: Sequence[int], k: int, n: int, N: int) -> Fraction:
+    """Exact probability that a uniform k-subset of [1, N] realizes counts c.
+
+    c counts the k exponents by residue mod n, so sum(c) = k.
+    """
+    c = _counts(c, k, n)
     if not 1 <= n <= N:
         raise InvalidParametersError(f"need 1 <= n <= N, got n={n}, N={N}")
     ways = 1
@@ -202,13 +208,7 @@ def atom_probability(c: Sequence[int], k: int, n: int, N: int) -> Fraction:
 
 def multinomial_weight(c: Sequence[int], k: int, n: int) -> Fraction:
     """Weight of counts c under the multinomial with k trials, n outcomes."""
-    c = tuple(c)
-    if len(c) != n:
-        raise InvalidParametersError(f"count vector must have length n={n}")
-    if any(x < 0 for x in c):
-        raise InvalidParametersError("counts must be non-negative")
-    if sum(c) != k:
-        raise InvalidParametersError(f"counts must sum to k={k}")
+    c = _counts(c, k, n)
     coef = factorial(k)
     for cj in c:
         coef //= factorial(cj)

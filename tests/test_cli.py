@@ -223,12 +223,49 @@ def test_estimate_command_csv(capsys):
     assert fields[:5] == ["5", "12", "2", "monte-carlo", "2000"]
 
 
+# stdout recorded before `estimate` without --n ran through decay_series
+PINNED_ESTIMATES = {
+    ("csv", None): (
+        "k,N,n_or_any,mode,trials,hits,estimate,ci_low,ci_high,seed\n"
+        "5,40,any,monte-carlo:full-sweep,300,162,0.54,0.4834517097991302,0.5955368525029061,2\n"
+    ),
+    ("csv", "fs-pruned"): (
+        "k,N,n_or_any,mode,trials,hits,estimate,ci_low,ci_high,seed\n"
+        "5,40,any,monte-carlo:fs-pruned,300,162,0.54,0.4834517097991302,0.5955368525029061,2\n"
+    ),
+    ("json", None): (
+        '{"k": 5, "N": 40, "n_or_any": "any", "mode": "monte-carlo:full-sweep", "trials": 300, '
+        '"hits": 162, "estimate": 0.54, "ci_low": 0.4834517097991302, "ci_high": 0.5955368525029061, '
+        '"seed": 2}\n'
+    ),
+    ("json", "fs-pruned"): (
+        '{"k": 5, "N": 40, "n_or_any": "any", "mode": "monte-carlo:fs-pruned", "trials": 300, '
+        '"hits": 162, "estimate": 0.54, "ci_low": 0.4834517097991302, "ci_high": 0.5955368525029061, '
+        '"seed": 2}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt, mode", list(PINNED_ESTIMATES))
+def test_any_factor_estimate_bytes_are_pinned(fmt, mode, capsys):
+    argv = ["estimate", "--k", "5", "--N", "40", "--trials", "300", "--seed", "2", "--format", fmt]
+    code, out, err = run_cli(argv + (["--mode", mode] if mode else []), capsys)
+    assert (code, out, err) == (0, PINNED_ESTIMATES[fmt, mode], "")
+
+
 def test_estimate_invalid_parameters_exit_code(capsys):
     code, out, err = run_cli(
         ["estimate", "--k", "5", "--N", "4", "--trials", "10"], capsys
     )
     assert code == 4
     assert json.loads(err)["error"] == "InvalidParametersError"
+    # every event is checked one way, before any trial or subset is drawn
+    for argv in (["estimate", "--k", "5", "--N", "4", "--n", "2", "--trials", "10"],
+                 ["decay", "--k-list", "3,5", "--N", "4", "--trials", "10"],
+                 ["enumerate", "--k", "5", "--N", "4"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"] == "need 1 <= k <= N, got k=5, N=4"
 
 
 def test_enumerate_command(capsys):

@@ -16,7 +16,6 @@ from lacunary import (
     SparsePoly,
     decay_series,
     divides_phi_dense,
-    estimate_any_cyclotomic,
     estimate_phi_n,
     exhaustive_enumeration,
     find_cyclotomic_factors,
@@ -140,8 +139,8 @@ def test_estimate_deterministic_and_worker_independent():
     c = estimate_phi_n(5, 40, 2, 4000, seed=99, workers=2)
     d = estimate_phi_n(5, 40, 2, 4000, seed=99, workers=8)
     assert a == b == c == d
-    e = estimate_any_cyclotomic(4, 60, 2000, seed=7, workers=1)
-    f = estimate_any_cyclotomic(4, 60, 2000, seed=7, workers=8)
+    e = decay_series([4], 60, 2000, seed=7, workers=1)[0]
+    f = decay_series([4], 60, 2000, seed=7, workers=8)[0]
     assert e == f
 
 
@@ -166,9 +165,9 @@ def test_more_workers_than_trials_split_into_one_chunk_per_trial():
 def test_hits_do_not_depend_on_workers(k, N, n, trials, seed, workers, mode):
     # at 256 trials or more any workers > 1 runs the pool, of at most nproc processes
     assert estimate_phi_n(k, N, n, trials, seed, workers) == estimate_phi_n(k, N, n, trials, seed)
-    assert estimate_any_cyclotomic(k, N, trials, seed, mode, workers) == estimate_any_cyclotomic(
-        k, N, trials, seed, mode
-    )
+    assert decay_series([k], N, trials, seed, mode, workers)[0] == decay_series(
+        [k], N, trials, seed, mode
+    )[0]
     ks = range(1, k + 1)
     assert decay_series(ks, N, trials, seed, mode, workers) == decay_series(ks, N, trials, seed, mode)
 
@@ -201,7 +200,7 @@ def test_ci_coverage_rate_any_event():
     exact = float(exhaustive_enumeration(4, 12).exact_value)
     cover = 0
     for seed in range(100):
-        r = estimate_any_cyclotomic(4, 12, 2000, seed=seed)
+        r = decay_series([4], 12, 2000, seed=seed)[0]
         if r.ci_low <= exact <= r.ci_high:
             cover += 1
     assert cover >= 93, f"coverage {cover}/100"
@@ -209,9 +208,9 @@ def test_ci_coverage_rate_any_event():
 
 def test_estimate_any_agrees_with_exhaustive_ci():
     exact = exhaustive_enumeration(4, 12).exact_value  # 67/495
-    r = estimate_any_cyclotomic(4, 12, 20000, seed=4)
+    r = decay_series([4], 12, 20000, seed=4)[0]
     assert r.ci_low <= float(exact) <= r.ci_high
-    r2 = estimate_any_cyclotomic(4, 12, 20000, seed=4, mode="fs-pruned")
+    r2 = decay_series([4], 12, 20000, seed=4, mode="fs-pruned")[0]
     assert r2.hits == r.hits  # verdict-equivalent sweeps
 
 
@@ -231,7 +230,7 @@ def test_estimate_validation():
     with pytest.raises(InvalidParametersError):
         estimate_phi_n(5, 4, 2, 100, seed=0)
     with pytest.raises(InvalidParametersError):
-        estimate_any_cyclotomic(5, 10, 0, seed=0)
+        decay_series([5], 10, 0, seed=0)[0]
 
 
 # --- decay series ------------------------------------------------------------------
@@ -299,7 +298,7 @@ def test_decay_validation():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: estimate_any_cyclotomic(3, 20, 300, seed=0, mode="pruned", workers=2),
+    lambda: decay_series([3], 20, 300, seed=0, mode="pruned", workers=2)[0],
     lambda: decay_series([3, 4], 20, 300, seed=0, mode="full", workers=2),
     lambda: exhaustive_enumeration(3, 10, mode="sweep"),
 ])
@@ -323,7 +322,7 @@ def test_any_factor_runs_never_take_the_full_sweep(monkeypatch):
         return real(poly, mode, cap)
 
     monkeypatch.setattr(experiment, "has_cyclotomic_factor", spy)
-    e = estimate_any_cyclotomic(5, 40, 200, seed=2, mode="full-sweep")
+    e = decay_series([5], 40, 200, seed=2, mode="full-sweep")[0]
     d = decay_series([3, 5], 40, 200, seed=2, mode="full-sweep")
     x = exhaustive_enumeration(3, 9, mode="full-sweep")
     assert set(modes) == {"fs-pruned"} and len(modes) == 200 + 400 + 84
@@ -341,7 +340,7 @@ def test_report_json_mirror():
     assert rec["n_or_any"] == 2
     assert rec["mode"] == "exhaustive"
     assert rec["hits"] == 300 and rec["trials"] == 792
-    rec2 = report_to_json(estimate_any_cyclotomic(3, 20, 100, seed=1, mode="fs-pruned"))
+    rec2 = report_to_json(decay_series([3], 20, 100, seed=1, mode="fs-pruned")[0])
     assert rec2["n_or_any"] == "any"
     assert rec2["mode"] == "monte-carlo:fs-pruned"
     # each CSV row is the JSON record, strings as they are and numbers by repr

@@ -1,6 +1,8 @@
 """Relation-lattice basis geometry and exact ball counting."""
 
 import random
+import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor, gamma, isqrt, lcm, pi, sqrt
@@ -437,11 +439,13 @@ def test_the_guard_sees_the_query_moved_near_the_origin():
     assert enumerate_ball(b, q, (0,) * 12) == enumerate_ball(b, near, (0,) * 12) == 7
 
 
-# (n, radius) -> exact count at the origin; acceptance 6 minus the refused (12, 20)
+# (n, radius) -> exact count at the origin; acceptance 6 minus the refused (12, 20),
+# and (4, 2000), whose two lines of 1,415 norms each pair up 2,002,225 times
 ORIGIN_COUNTS = {
     (4, 5): 37,
     (4, 10): 161,
     (4, 20): 633,
+    (4, 2000): 6283225,
     (6, 5): 859,
     (6, 10): 14435,
     (6, 20): 228337,
@@ -488,6 +492,17 @@ def test_enumeration_guard():
     for radius in (1e8, 1e200):
         with pytest.raises(ResourceLimitError):
             enumerate_ball(b, BallQuery((0, 0), radius, 2), (0, 0))
+
+
+@pytest.mark.parametrize("n, radius, pairs", [(4, 10**4, "5.01e+7"), (9, 1000, "4.37e+7")])
+def test_prime_power_balls_are_refused_at_their_convolutions(n, radius, pairs):
+    # the LDL predicts only 1.41e+4 and 1.05e+6 nodes, but the counts of the
+    # independent parts would pair up more than 10^7 times in one convolution
+    b = build_basis(n)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=re.escape(f"{pairs} predicted norm-count pairs")):
+        enumerate_ball(b, BallQuery((0,) * n, radius, n), (0,) * n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumeration_validation():

@@ -1,7 +1,10 @@
-"""Package layout: modules reach each other only through public names, and
-every library definition and defaulted parameter is used."""
+"""Package layout: modules reach each other only through public names,
+every library definition and defaulted parameter is used, and README's
+layout table names only what exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import lacunary
@@ -235,3 +238,27 @@ def test_module_dependencies():
         if path.name != "__init__.py"
     }
     assert deps == SIBLINGS
+
+
+def _layout_rows() -> list[tuple[str, list[str]]]:
+    """(module, backticked identifiers of its contents) for each row of README's Layout table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`lacunary."):
+            names = [name for name in re.findall(r"`([^`]+)`", cells[1]) if name.isidentifier()]
+            rows.append((cells[0].strip("`"), names))
+    return rows
+
+
+def test_readme_layout_names_only_what_exists():
+    # `lacunary` in the cli row is the command's name, not a module attribute
+    rows = _layout_rows()
+    assert len(rows) > 5
+    missing = [
+        f"{module}.{name}" for module, names in rows for name in names
+        if name != "lacunary" and not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
